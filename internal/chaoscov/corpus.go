@@ -91,11 +91,7 @@ func OpenCorpus(path string) (*Corpus, error) {
 	if path == "" {
 		return c, nil
 	}
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("chaoscov: open corpus: %w", err)
-	}
-	skipped, err := harness.ScanJSONL(f, func(line []byte) bool {
+	f, skipped, err := harness.OpenJSONL(path, func(line []byte) bool {
 		var e Entry
 		if err := json.Unmarshal(line, &e); err != nil || e.Sig == "" || len(e.Spec) == 0 {
 			return false
@@ -103,16 +99,10 @@ func OpenCorpus(path string) (*Corpus, error) {
 		c.absorb(e)
 		return true
 	})
-	c.skipped = skipped
 	if err != nil {
-		f.Close()
-		return nil, fmt.Errorf("chaoscov: read corpus: %w", err)
+		return nil, fmt.Errorf("chaoscov: open corpus: %w", err)
 	}
-	if _, err := f.Seek(0, 2); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("chaoscov: seek corpus: %w", err)
-	}
-	c.f = f
+	c.f, c.skipped = f, skipped
 	return c, nil
 }
 

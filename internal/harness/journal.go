@@ -9,24 +9,80 @@ import (
 	"sync"
 )
 
-// ScanJSONL feeds every non-empty line of r to fn. A line fn rejects
+// scanJSONL feeds every non-empty line of r to fn. A line fn rejects
 // (returns false) — a truncated final line from a kill mid-write, or
 // any other corruption — is counted and skipped, never fatal: losing
-// one in-flight record must not discard the rest of a journal. The
-// Journal's resume and the job daemon's store recovery both ride this.
-func ScanJSONL(r io.Reader, fn func(line []byte) bool) (skipped int, err error) {
+// one in-flight record must not discard the rest of a journal. It also
+// reports how the input ends: whole is the length of its prefix up to
+// and including the last newline, and tailOK reports a final
+// unterminated line that fn accepted.
+func scanJSONL(r io.Reader, fn func(line []byte) bool) (skipped int, whole int64, tailOK bool, err error) {
+	terminated := true
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 1<<20), 16<<20)
+	sc.Split(func(data []byte, atEOF bool) (int, []byte, error) {
+		adv, tok, err := bufio.ScanLines(data, atEOF)
+		if terminated = adv > 0 && data[adv-1] == '\n'; terminated {
+			whole += int64(adv)
+		}
+		return adv, tok, err
+	})
 	for sc.Scan() {
 		line := sc.Bytes()
 		if len(line) == 0 {
 			continue
 		}
-		if !fn(line) {
+		ok := fn(line)
+		if !ok {
 			skipped++
 		}
+		tailOK = !terminated && ok
 	}
-	return skipped, sc.Err()
+	return skipped, whole, tailOK, sc.Err()
+}
+
+// OpenJSONL opens (creating if absent) the append-only JSONL file at
+// path, feeds its lines to load as scanJSONL does, and returns the file
+// positioned for appending. A final line without its newline is the
+// torn tail of a kill mid-write: if load accepted it, the newline is
+// supplied; otherwise the tail is truncated away. Either way the next
+// append starts on a line of its own instead of being glued to the
+// garbage and lost on the following open. Every append-only journal
+// (harness.Journal, the daemon's job store and result cache, the chaos
+// corpus) opens through here.
+func OpenJSONL(path string, load func(line []byte) bool) (f *os.File, skipped int, err error) {
+	f, err = os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
+	if err != nil {
+		return nil, 0, err
+	}
+	skipped, whole, tailOK, err := scanJSONL(f, load)
+	if err == nil {
+		err = mendTail(f, whole, tailOK)
+	}
+	if err != nil {
+		f.Close()
+		return nil, 0, err
+	}
+	return f, skipped, nil
+}
+
+// mendTail positions f at its end so that the end is a line boundary:
+// it terminates an accepted final line, or truncates f to its first
+// whole bytes.
+func mendTail(f *os.File, whole int64, tailOK bool) error {
+	size, err := f.Seek(0, io.SeekEnd)
+	switch {
+	case err != nil || size == whole:
+		return err
+	case tailOK:
+		_, err = f.Write([]byte{'\n'})
+		return err
+	}
+	if err := f.Truncate(whole); err != nil {
+		return err
+	}
+	_, err = f.Seek(whole, io.SeekStart)
+	return err
 }
 
 // Entry is one journaled job outcome — a single JSONL line. Value holds
@@ -57,12 +113,8 @@ type Journal struct {
 // kill mid-write — is skipped, not fatal; Skipped reports how many lines
 // were dropped.
 func OpenJournal(path string) (*Journal, error) {
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("harness: open journal: %w", err)
-	}
-	j := &Journal{f: f, done: make(map[string]Entry)}
-	skipped, err := ScanJSONL(f, func(line []byte) bool {
+	j := &Journal{done: make(map[string]Entry)}
+	f, skipped, err := OpenJSONL(path, func(line []byte) bool {
 		var e Entry
 		if err := json.Unmarshal(line, &e); err != nil || e.Key == "" {
 			return false
@@ -70,15 +122,10 @@ func OpenJournal(path string) (*Journal, error) {
 		j.done[e.Key] = e
 		return true
 	})
-	j.skipped = skipped
 	if err != nil {
-		f.Close()
-		return nil, fmt.Errorf("harness: read journal: %w", err)
+		return nil, fmt.Errorf("harness: open journal: %w", err)
 	}
-	if _, err := f.Seek(0, 2); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("harness: seek journal: %w", err)
-	}
+	j.f, j.skipped = f, skipped
 	return j, nil
 }
 

@@ -62,6 +62,55 @@ func TestJournalTruncatedLine(t *testing.T) {
 	}
 }
 
+// TestJournalAppendAfterTornTail: the first record written after
+// reopening a journal with a torn tail must land on a line of its own.
+// A half-written tail is cut away; a complete record that only lost its
+// newline is kept and terminated.
+func TestJournalAppendAfterTornTail(t *testing.T) {
+	full, _ := json.Marshal(Entry{Key: "done", OK: true, Value: json.RawMessage(`1`)})
+	for name, tc := range map[string]struct {
+		tail    string
+		skipped int
+		keys    []string
+	}{
+		"garbage":    {`{"key":"half","ok":tr`, 1, []string{"done", "after", "after2"}},
+		"no-newline": {`{"key":"whole","ok":true}`, 0, []string{"done", "whole", "after", "after2"}},
+	} {
+		t.Run(name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "sweep.jsonl")
+			if err := os.WriteFile(path, append(append(full, '\n'), tc.tail...), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			j, err := OpenJournal(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if j.Skipped() != tc.skipped {
+				t.Fatalf("first open skipped %d, want %d", j.Skipped(), tc.skipped)
+			}
+			j.Record(Entry{Key: "after", OK: true})
+			j.Record(Entry{Key: "after2", OK: true})
+			if err := j.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			j2, err := OpenJournal(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer j2.Close()
+			if j2.Skipped() != 0 || j2.Len() != len(tc.keys) {
+				t.Fatalf("reopen: %d entries, %d skipped; want %d, 0", j2.Len(), j2.Skipped(), len(tc.keys))
+			}
+			for _, k := range tc.keys {
+				if _, ok := j2.Lookup(k); !ok {
+					t.Fatalf("entry %q lost across the reopen", k)
+				}
+			}
+		})
+	}
+}
+
 // TestExecuteResumesFromJournal: re-executing the same jobs against the
 // same journal must not re-run completed work, and failed entries keep
 // their classification across the restart.

@@ -16,7 +16,7 @@ func TestScanJSONL(t *testing.T) {
 		`{"trunc`, // kill-mid-write residue: rejected, counted, not fatal
 	}, "\n")
 	var got []string
-	skipped, err := ScanJSONL(strings.NewReader(input), func(line []byte) bool {
+	skipped, _, _, err := scanJSONL(strings.NewReader(input), func(line []byte) bool {
 		if !strings.HasSuffix(string(line), "}") {
 			return false
 		}

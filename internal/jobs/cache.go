@@ -71,19 +71,14 @@ type CacheStats struct {
 // the file when it carries dead lines. A zero limit is unbounded —
 // the historical behaviour.
 func OpenCache(path string, limit CacheLimit) (*Cache, error) {
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("jobs: open cache: %w", err)
-	}
 	c := &Cache{
-		f:     f,
 		path:  path,
 		limit: limit,
 		byKey: make(map[string]*list.Element),
 		lru:   list.New(),
 	}
 	lines := 0
-	_, err = harness.ScanJSONL(f, func(line []byte) bool {
+	f, _, err := harness.OpenJSONL(path, func(line []byte) bool {
 		lines++
 		var e harness.Entry
 		if err := json.Unmarshal(line, &e); err != nil || e.Key == "" || !e.OK || len(e.Value) == 0 {
@@ -95,9 +90,9 @@ func OpenCache(path string, limit CacheLimit) (*Cache, error) {
 		return true
 	})
 	if err != nil {
-		f.Close()
-		return nil, fmt.Errorf("jobs: read cache: %w", err)
+		return nil, fmt.Errorf("jobs: open cache: %w", err)
 	}
+	c.f = f
 	// Loading counted cap evictions; they describe history, not this
 	// process's churn.
 	c.evicted = 0
@@ -108,9 +103,6 @@ func OpenCache(path string, limit CacheLimit) (*Cache, error) {
 			f.Close()
 			return nil, err
 		}
-	} else if _, err := f.Seek(0, 2); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("jobs: seek cache: %w", err)
 	}
 	return c, nil
 }

@@ -183,6 +183,55 @@ func TestCrashRecoveryRequeuesAndMatchesUninterruptedRun(t *testing.T) {
 	}
 }
 
+// TestExecuteInProcess: Execute admits a config exactly like an HTTP
+// submission. A fresh config runs to done with the bytes HTTP serves,
+// the repeat is a cache hit, and a full queue is a *BusyError.
+func TestExecuteInProcess(t *testing.T) {
+	ctx := testCtx(t)
+	srv, cli := newTestServer(t, ServerConfig{Workers: 1, QueueDepth: 1})
+	raw, err := json.Marshal(chainConfig(t, 2, 2*time.Second, 21))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	j1, err := srv.Execute(ctx, raw, "exec")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if j1.State != StateDone || j1.Cached {
+		t.Fatalf("fresh Execute = state %s cached %v [%s]: %s", j1.State, j1.Cached, j1.Class, j1.Error)
+	}
+	served, err := cli.Result(ctx, j1.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(j1.Result, served) {
+		t.Fatal("Execute result differs from the bytes served over HTTP")
+	}
+
+	j2, err := srv.Execute(ctx, raw, "exec")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if j2.State != StateDone || !j2.Cached || !bytes.Equal(j2.Result, served) {
+		t.Fatalf("repeat Execute = state %s cached %v, want done from cache with the same bytes", j2.State, j2.Cached)
+	}
+
+	// A long run takes the only queue slot; the cleanup drain cancels it.
+	if _, err := cli.Submit(ctx, chainConfig(t, 4, time.Hour, 1)); err != nil {
+		t.Fatal(err)
+	}
+	raw2, err := json.Marshal(chainConfig(t, 4, time.Hour, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = srv.Execute(ctx, raw2, "exec")
+	var busy *BusyError
+	if !errors.As(err, &busy) || busy.Status != http.StatusTooManyRequests {
+		t.Fatalf("Execute on a full queue err = %v, want a 429 BusyError", err)
+	}
+}
+
 func TestQueueFullReturns429WithRetryAfter(t *testing.T) {
 	ctx := testCtx(t)
 	srv, cli := newTestServer(t, ServerConfig{Workers: 1, QueueDepth: 1})

@@ -31,12 +31,8 @@ type Store struct {
 // OpenStore opens (creating if absent) the job journal at path and
 // replays it.
 func OpenStore(path string) (*Store, error) {
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("jobs: open store: %w", err)
-	}
-	s := &Store{f: f, jobs: make(map[string]*Job)}
-	skipped, err := harness.ScanJSONL(f, func(line []byte) bool {
+	s := &Store{jobs: make(map[string]*Job)}
+	f, skipped, err := harness.OpenJSONL(path, func(line []byte) bool {
 		var j Job
 		if err := json.Unmarshal(line, &j); err != nil || j.ID == "" {
 			return false
@@ -51,15 +47,10 @@ func OpenStore(path string) (*Store, error) {
 		}
 		return true
 	})
-	s.skipped = skipped
 	if err != nil {
-		f.Close()
-		return nil, fmt.Errorf("jobs: read store: %w", err)
+		return nil, fmt.Errorf("jobs: open store: %w", err)
 	}
-	if _, err := f.Seek(0, 2); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("jobs: seek store: %w", err)
-	}
+	s.f, s.skipped = f, skipped
 	// Interrupted work — anything not terminal — goes back to the queue.
 	// The requeue is journaled so the file reflects what the daemon will
 	// actually do, even if it is killed again before the job starts.

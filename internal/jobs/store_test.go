@@ -123,4 +123,9 @@ func TestStoreRecoversRunningJobAndSkipsTruncatedLine(t *testing.T) {
 	if j2.State != StateQueued {
 		t.Fatalf("second reopen state = %s", j2.State)
 	}
+	// The first open cut the torn tail, so the requeue snapshot it wrote
+	// is a line of its own, not glued to the garbage.
+	if s2.Skipped() != 0 {
+		t.Fatalf("second reopen skipped %d line(s), want 0", s2.Skipped())
+	}
 }
