@@ -559,6 +559,14 @@ type Config struct {
 	// optimizations change nothing. Test-only, hence unexported.
 	eventHook func(sim.Time, uint64)
 
+	// txHook observes every frame a radio puts on the air, with the
+	// global node index and the transmit time. Unlike the (time, seq)
+	// stream it ignores scheduler bookkeeping, so it fingerprints
+	// observable behaviour only. The decomposed engine calls it from one
+	// goroutine per domain, never concurrently for the same node.
+	// Test-only, hence unexported.
+	txHook func(node int, at sim.Time, pkt *packet.Packet)
+
 	// summaryTraces is the resolved TraceFlowLimit decision, computed
 	// once in Run against the global flow count so the classic and
 	// decomposed engines agree on it: buildSub's struct copy carries it

@@ -21,12 +21,15 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"hash"
 	"hash/fnv"
 	"os"
 	"path/filepath"
 	"testing"
 	"time"
 
+	"muzha/internal/canon"
+	"muzha/internal/packet"
 	"muzha/internal/sim"
 )
 
@@ -234,5 +237,101 @@ func TestGoldenHashRepeatable(t *testing.T) {
 	cfg.Flows = []Flow{{Src: 0, Dst: 4, Variant: Muzha}}
 	if a, b := goldenHash(t, cfg), goldenHash(t, cfg); a != b {
 		t.Fatalf("identical configs hashed differently: %s vs %s", a, b)
+	}
+}
+
+var updateSemantic = flag.Bool("update-semantic", false, "rewrite testdata/golden_semantic.json from the current engine")
+
+const semanticPath = "testdata/golden_semantic.json"
+
+// semanticHash fingerprints what a run does rather than how the engine
+// scheduled it: per radio, an FNV-64a hash over every frame it put on
+// the air (transmit time, kind, control subtype, MAC source and
+// destination, UID, size), folded in radio-ID order together with the
+// canonical Result with Events zeroed. A change that reaches the same
+// behaviour in fewer engine events keeps this hash while the (time, seq)
+// hash of TestGoldenEventSequence moves.
+func semanticHash(t *testing.T, cfg Config) string {
+	t.Helper()
+	radios := make([]hash.Hash64, cfg.Topology.Nodes())
+	for i := range radios {
+		radios[i] = fnv.New64a()
+	}
+	cfg.txHook = func(node int, at sim.Time, pkt *packet.Packet) {
+		var buf [48]byte
+		binary.LittleEndian.PutUint64(buf[0:], uint64(at))
+		binary.LittleEndian.PutUint64(buf[8:], uint64(pkt.Kind))
+		binary.LittleEndian.PutUint64(buf[16:], uint64(pkt.Ctrl))
+		binary.LittleEndian.PutUint32(buf[24:], uint32(pkt.MACSrc))
+		binary.LittleEndian.PutUint32(buf[28:], uint32(pkt.MACDst))
+		binary.LittleEndian.PutUint64(buf[32:], pkt.UID)
+		binary.LittleEndian.PutUint64(buf[40:], uint64(pkt.Size))
+		radios[node].Write(buf[:])
+	}
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatalf("semantic run failed: %v", err)
+	}
+	h := fnv.New64a()
+	var buf [8]byte
+	for _, r := range radios {
+		binary.LittleEndian.PutUint64(buf[:], r.Sum64())
+		h.Write(buf[:])
+	}
+	res.Events = 0
+	res.Sanitize()
+	doc, err := canon.JSON(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.Write(doc)
+	return fmt.Sprintf("%016x", h.Sum64())
+}
+
+// TestGoldenSemantic pins the observable behaviour of the golden
+// scenarios: the per-radio transmit streams and the Result. Engine
+// changes that only remove bookkeeping events (and so legitimately move
+// the (time, seq) fixtures) must leave it byte-identical.
+//
+// Regenerate (only when behaviour changes on purpose) with:
+//
+//	go test -run TestGoldenSemantic -update-semantic .
+func TestGoldenSemantic(t *testing.T) {
+	got := make(map[string]string)
+	for name, cfg := range goldenScenarios(t) {
+		got[name] = semanticHash(t, cfg)
+	}
+	if *updateSemantic {
+		data, err := json.MarshalIndent(got, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(semanticPath, append(data, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("wrote %s: %v", semanticPath, got)
+		return
+	}
+	data, err := os.ReadFile(semanticPath)
+	if err != nil {
+		t.Fatalf("missing semantic fixture (run with -update-semantic to create): %v", err)
+	}
+	want := make(map[string]string)
+	if err := json.Unmarshal(data, &want); err != nil {
+		t.Fatalf("corrupt semantic fixture: %v", err)
+	}
+	for name, wh := range want {
+		if got[name] == "" {
+			t.Errorf("%s: fixture has a scenario the test no longer builds", name)
+			continue
+		}
+		if got[name] != wh {
+			t.Errorf("%s: observable behaviour diverged: got %s, fixture %s", name, got[name], wh)
+		}
+	}
+	for name := range got {
+		if _, ok := want[name]; !ok {
+			t.Errorf("%s: scenario missing from fixture; rerun with -update-semantic", name)
+		}
 	}
 }

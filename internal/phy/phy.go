@@ -129,6 +129,8 @@ type Channel struct {
 	blocked map[[2]int]bool
 	group   map[int]int // node -> partition class; nil when unpartitioned
 	ge      *geState
+
+	txHook func(radio int, pkt *packet.Packet) // see SetTxHook
 }
 
 // gridCell addresses one CSRange x CSRange bucket of the spatial grid.
@@ -177,6 +179,12 @@ func NewChannel(s *sim.Simulator, cfg Config) (*Channel, error) {
 
 // Config returns the channel parameters.
 func (c *Channel) Config() Config { return c.cfg }
+
+// SetTxHook installs an observer invoked on every Radio.Transmit, before
+// the frame goes on the air, with the transmitting radio's ID. It sees
+// exactly what each radio put on the medium and when, independent of how
+// the engine scheduled it. Pass nil to remove the hook.
+func (c *Channel) SetTxHook(fn func(radio int, pkt *packet.Packet)) { c.txHook = fn }
 
 // AddRadio attaches a radio at pos and returns it. The returned radio's ID
 // equals its attach order.
@@ -465,6 +473,9 @@ func (r *Radio) Transmit(pkt *packet.Packet, airtime sim.Time) {
 	// Own transmission stomps any frame being received.
 	r.rxLive = false
 	c := r.ch
+	if c.txHook != nil {
+		c.txHook(r.id, pkt)
+	}
 	if r.down {
 		// Crashed radio: complete the local transmit cycle so the MAC
 		// state machine stays consistent, but radiate nothing.

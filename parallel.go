@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"muzha/internal/packet"
 	"muzha/internal/phy"
 	"muzha/internal/sim"
 	"muzha/internal/stats"
@@ -117,6 +118,7 @@ func buildSub(cfg Config, domain int, nodes []int) subScenario {
 	sub.PacketTrace = nil
 	sub.Progress = nil
 	sub.eventHook = nil
+	sub.txHook = nil
 
 	sc := subScenario{nodes: nodes}
 	sub.Flows = nil
@@ -266,6 +268,10 @@ func runDecomposed(cfg Config) (*Result, error) {
 				sub.eventHook = func(at sim.Time, seq uint64) {
 					streams[d] = append(streams[d], subEvent{at: at, seq: seq})
 				}
+			}
+			if tx := cfg.txHook; tx != nil {
+				nodes := subs[d].nodes
+				sub.txHook = func(n int, at sim.Time, pkt *packet.Packet) { tx(nodes[n], at, pkt) }
 			}
 			if cfg.Progress != nil {
 				sub.Progress = func(u ProgressUpdate) {

@@ -50,6 +50,7 @@ func TestParallelWidthInvariance(t *testing.T) {
 			}
 			cfg.Workers = 1
 			ref := goldenHash(t, cfg)
+			refSem := semanticHash(t, cfg)
 			refRes, err := Run(cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -59,6 +60,9 @@ func TestParallelWidthInvariance(t *testing.T) {
 				pcfg.Workers = w
 				if got := goldenHash(t, pcfg); got != ref {
 					t.Errorf("workers=%d changed the merged event stream: %s vs %s", w, got, ref)
+				}
+				if got := semanticHash(t, pcfg); got != refSem {
+					t.Errorf("workers=%d changed the transmit streams: %s vs %s", w, got, refSem)
 				}
 				res, err := Run(pcfg)
 				if err != nil {

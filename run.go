@@ -134,6 +134,9 @@ func run(cfg Config) (res *Result, err error) {
 	if err != nil {
 		return nil, err
 	}
+	if tx := cfg.txHook; tx != nil {
+		ch.SetTxHook(func(radio int, pkt *packet.Packet) { tx(radio, s.Now(), pkt) })
+	}
 
 	nodeCfg := node.DefaultConfig()
 	nodeCfg.QueueLimit = cfg.QueueLimit
