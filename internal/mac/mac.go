@@ -118,11 +118,22 @@ type DCF struct {
 	backoffSlots int
 	ssrc, slrc   int
 
-	navUntil  sim.Time
-	useEIFS   bool
-	deferEv   sim.EventRef // DIFS/EIFS wait or next backoff slot
-	navEv     sim.EventRef // wake-up at NAV expiry
-	timeout   *sim.Timer   // CTS/ACK timeout
+	navUntil sim.Time
+	useEIFS  bool
+	deferT   *sim.Timer   // DIFS/EIFS wait before the countdown (re)starts
+	navEv    sim.EventRef // wake-up at NAV expiry
+	timeout  *sim.Timer   // CTS/ACK timeout
+
+	// Backoff countdown (see startCountdown). While counting, the slots
+	// since t0 are consumed implicitly; a pause charges them to
+	// backoffSlots. countT fires first at rearmAt (when rearmAt != 0),
+	// then at the expiry one slot later.
+	cd       *Countdowns
+	countT   *sim.Timer
+	counting bool
+	t0       sim.Time // slot origin: the DIFS/EIFS expiry that started the countdown
+	rearmAt  sim.Time // pending rearm instant; 0 once the expiry is armed
+
 	resp      *packet.Packet
 	respEv    sim.EventRef // SIFS-scheduled response transmission
 	respBusy  bool         // a response frame is scheduled or on the air
@@ -153,8 +164,9 @@ const (
 )
 
 // New attaches a DCF MAC to a radio. self is this node's address; up is
-// the network layer.
-func New(s *sim.Simulator, radio *phy.Radio, self packet.NodeID, up Upper, cfg Config) (*DCF, error) {
+// the network layer; cd is the countdown registry shared by every DCF on
+// the simulator s.
+func New(s *sim.Simulator, radio *phy.Radio, self packet.NodeID, up Upper, cfg Config, cd *Countdowns) (*DCF, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -175,8 +187,11 @@ func New(s *sim.Simulator, radio *phy.Radio, self packet.NodeID, up Upper, cfg C
 		// propagation and slot alignment.
 		ctsWait: cfg.SIFS + ctsAir + 2*cfg.SlotTime,
 		ackWait: cfg.SIFS + ackAir + 2*cfg.SlotTime,
+		cd:      cd,
 	}
 	m.timeout = sim.NewTimer(s, m.onTimeout)
+	m.deferT = sim.NewTimer(s, m.onDefer)
+	m.countT = sim.NewTimer(s, m.onCount)
 	m.winStart = s.Now()
 	m.busySince = s.Now()
 	return m, nil
@@ -225,6 +240,7 @@ func (m *DCF) Stats() Stats { return m.stats }
 // upcalls for frames that were in flight at reset time are ignored by
 // the idle state machine.
 func (m *DCF) Reset() {
+	m.cancelDefer()
 	m.st = stateIdle
 	m.cur = nil
 	m.dataAfter = nil
@@ -232,7 +248,6 @@ func (m *DCF) Reset() {
 	m.cw = m.cfg.CWMin
 	m.backoffSlots = 0
 	m.ssrc, m.slrc = 0, 0
-	m.cancelDefer()
 	m.timeout.Stop()
 	m.respEv.Cancel()
 	m.respEv = sim.EventRef{}
@@ -294,18 +309,50 @@ func (m *DCF) resume() {
 	if m.useEIFS {
 		wait = m.eifs
 	}
-	m.deferEv = m.sim.Schedule(wait, m.slotTick)
+	m.deferT.Reset(wait)
+	m.cd.refresh(m.sim.Now()+wait, nil)
 }
 
-func (m *DCF) cancelDefer() {
-	m.deferEv.Cancel()
-	m.deferEv = sim.EventRef{}
+// cancelDefer pauses channel access: it stops the DIFS/EIFS wait, the
+// NAV wake-up and a running countdown. A slot boundary at exactly now
+// is not charged; see pause.
+func (m *DCF) cancelDefer() { m.pause(false) }
+
+// pause is cancelDefer. A running countdown is charged the slots that
+// elapsed since t0. A boundary at exactly now counts only when edge is
+// set (a carrier-busy edge): the per-slot model this timer replaces
+// queued that boundary's tick one slot ahead, which is before the
+// signal-start event that raises carrier busy (queued one propagation
+// delay ahead), and after the frame-end events that drive NAV, response
+// and reset pauses (queued at least one airtime ahead).
+func (m *DCF) pause(edge bool) {
+	m.deferT.Stop()
 	m.navEv.Cancel()
 	m.navEv = sim.EventRef{}
+	if !m.counting {
+		return
+	}
+	elapsed := m.sim.Now() - m.t0
+	slots := int(elapsed / m.cfg.SlotTime)
+	if !edge && slots > 0 && elapsed%m.cfg.SlotTime == 0 {
+		slots--
+	}
+	m.backoffSlots -= slots
+	m.stopCountdown()
 }
 
-func (m *DCF) slotTick() {
-	m.deferEv = sim.EventRef{}
+func (m *DCF) stopCountdown() {
+	m.counting = false
+	m.countT.Stop()
+	if m.rearmAt != 0 {
+		m.cd.remove(m)
+		m.rearmAt = 0
+	}
+}
+
+// onDefer ends the DIFS/EIFS wait: transmit at once when no backoff
+// slots remain, otherwise start counting them down.
+func (m *DCF) onDefer() {
 	if m.st != stateContend || m.mediumBusy() {
 		return
 	}
@@ -313,10 +360,94 @@ func (m *DCF) slotTick() {
 		m.transmitCur()
 		return
 	}
-	m.deferEv = m.sim.Schedule(m.cfg.SlotTime, func() {
-		m.backoffSlots--
-		m.slotTick()
-	})
+	m.startCountdown()
+}
+
+// startCountdown counts backoffSlots down from now with at most two
+// events instead of one per slot. With n slots left the countdown
+// expires at t0+n*slot. For n > 1 a rearm fires first at t0+(n-1)*slot
+// and queues the expiry from there, so the expiry takes the place in
+// the event order that the last per-slot tick had.
+func (m *DCF) startCountdown() {
+	now := m.sim.Now()
+	m.counting = true
+	m.t0 = now
+	n := sim.Time(m.backoffSlots)
+	if n == 1 {
+		m.countT.Reset(m.cfg.SlotTime)
+		return
+	}
+	m.rearmAt = now + (n-1)*m.cfg.SlotTime
+	m.countT.Reset(m.rearmAt - now)
+	m.cd.add(m)
+}
+
+// onCount fires at the rearm and then at the expiry of a countdown.
+func (m *DCF) onCount() {
+	if m.rearmAt != 0 {
+		m.cd.remove(m)
+		m.rearmAt = 0
+		m.countT.Reset(m.cfg.SlotTime)
+		return
+	}
+	m.counting = false
+	m.backoffSlots = 0
+	if m.st != stateContend || m.mediumBusy() {
+		return
+	}
+	m.transmitCur()
+}
+
+// Countdowns tracks the pending backoff rearms of every DCF on one
+// simulator, in the order their events fire, so that countdowns falling
+// due at the same instant keep the order of the per-slot model: at any
+// instant, DIFS/EIFS expiries first, then newer countdowns before older
+// ones, and countdowns started at the same instant in the order they
+// started. A Countdowns belongs to a single simulator and, like it, is
+// not safe for concurrent use.
+type Countdowns struct {
+	rearms []*DCF
+}
+
+// NewCountdowns returns an empty registry for the DCFs of one simulator.
+func NewCountdowns() *Countdowns { return &Countdowns{} }
+
+// add registers m's freshly armed rearm. Rearms due at the same instant
+// from strictly older countdowns are requeued behind it.
+func (c *Countdowns) add(m *DCF) {
+	c.rearms = append(c.rearms, m)
+	c.refresh(m.rearmAt, m)
+}
+
+// refresh requeues, in their current order, the rearms due at at (only
+// those of countdowns older than newer, when newer is set), giving them
+// fresh sequence numbers behind everything already queued for at.
+func (c *Countdowns) refresh(at sim.Time, newer *DCF) {
+	var moved []*DCF
+	keep := c.rearms[:0]
+	for _, o := range c.rearms {
+		if o.rearmAt == at && (newer == nil || o.t0 < newer.t0) {
+			moved = append(moved, o)
+			continue
+		}
+		keep = append(keep, o)
+	}
+	if len(moved) == 0 {
+		return
+	}
+	for _, o := range moved {
+		o.countT.Reset(at - o.sim.Now())
+	}
+	c.rearms = append(keep, moved...)
+}
+
+func (c *Countdowns) remove(m *DCF) {
+	for i, o := range c.rearms {
+		if o == m {
+			c.rearms = append(c.rearms[:i], c.rearms[i+1:]...)
+			return
+		}
+	}
 }
 
 func (m *DCF) transmitCur() {
@@ -389,7 +520,7 @@ func (m *DCF) OnTxDone(pkt *packet.Packet) {
 func (m *DCF) OnCarrierBusy() {
 	m.refreshBusy()
 	if m.st == stateContend {
-		m.cancelDefer()
+		m.pause(true)
 	}
 }
 

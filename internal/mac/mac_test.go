@@ -34,6 +34,7 @@ type testNode struct {
 	mac   *DCF
 	upper *stubUpper
 	radio *phy.Radio
+	ch    *phy.Channel
 }
 
 // buildNodes wires n MACs to a fresh channel at the given positions.
@@ -49,13 +50,14 @@ func buildNodesPhy(t *testing.T, seed int64, cfg Config, phyCfg phy.Config, posi
 	if err != nil {
 		t.Fatal(err)
 	}
+	cd := NewCountdowns()
 	nodes := make([]*testNode, len(positions))
 	for i, pos := range positions {
 		up := &stubUpper{}
-		n := &testNode{upper: up}
+		n := &testNode{upper: up, ch: ch}
 		radioHolder := &deferredMAC{}
 		n.radio = ch.AddRadio(pos, radioHolder)
-		m, err := New(s, n.radio, packet.NodeID(i), up, cfg)
+		m, err := New(s, n.radio, packet.NodeID(i), up, cfg, cd)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -466,5 +468,161 @@ func TestUtilizationIdleIsZero(t *testing.T) {
 	s.Run(2 * sim.Second)
 	if u := nodes[0].mac.Utilization(); u != 0 {
 		t.Fatalf("idle utilization = %.2f, want 0", u)
+	}
+}
+
+// contendAt makes m contend for a broadcast frame from virtual time at,
+// with exactly slots backoff slots (no random draw).
+func contendAt(s *sim.Simulator, m *DCF, at sim.Time, slots int) {
+	s.At(at, func() {
+		m.cur = &packet.Packet{UID: uidGen.Next(), Kind: packet.KindData, Size: 100, MACDst: packet.Broadcast}
+		m.st = stateContend
+		m.backoffSlots = slots
+		m.resume()
+	})
+}
+
+// txLog records the radio ID and time of every transmission on the
+// channel the nodes share.
+type txLog struct {
+	ids   []int
+	times []sim.Time
+}
+
+func logTx(s *sim.Simulator, n *testNode) *txLog {
+	l := &txLog{}
+	n.ch.SetTxHook(func(radio int, _ *packet.Packet) {
+		l.ids = append(l.ids, radio)
+		l.times = append(l.times, s.Now())
+	})
+	return l
+}
+
+// TestCountdownPauseCharging checks what a pause charges a running
+// countdown. The countdown starts at t0 = DIFS with 10 slots; each case
+// pauses it once, at a slot boundary or mid-slot, before the countdown
+// events queued for that instant.
+func TestCountdownPauseCharging(t *testing.T) {
+	cfg := DefaultConfig()
+	slot := cfg.SlotTime
+	t0 := cfg.DIFS
+	cases := []struct {
+		name  string
+		at    sim.Time
+		pause func(m *DCF)
+		left  int
+	}{
+		{"carrier busy mid-slot", t0 + 3*slot + slot/2, (*DCF).OnCarrierBusy, 7},
+		{"NAV mid-slot", t0 + 3*slot + slot/2, func(m *DCF) { m.setNAV(int64(sim.Millisecond)) }, 7},
+		{"carrier busy on a boundary", t0 + 3*slot, (*DCF).OnCarrierBusy, 7},
+		{"NAV on a boundary", t0 + 3*slot, func(m *DCF) { m.setNAV(int64(sim.Millisecond)) }, 8},
+		{"response on a boundary", t0 + 3*slot, func(m *DCF) {
+			m.scheduleResponse(&packet.Packet{Kind: packet.KindMACControl, Ctrl: packet.CtrlACK, Size: packet.MACACKSize, MACSrc: 0, MACDst: 1})
+		}, 8},
+		{"reset-style cancel on a boundary", t0 + 3*slot, (*DCF).cancelDefer, 8},
+		{"carrier busy at t0", t0, (*DCF).OnCarrierBusy, 10},
+		{"NAV on the expiry instant", t0 + 10*slot, func(m *DCF) { m.setNAV(int64(sim.Millisecond)) }, 1},
+		{"NAV one slot before expiry", t0 + 9*slot, func(m *DCF) { m.setNAV(int64(sim.Millisecond)) }, 2},
+		{"carrier busy one slot before expiry", t0 + 9*slot, (*DCF).OnCarrierBusy, 1},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			s, nodes := buildNodes(t, 1, cfg, []topo.Position{{X: 0}, {X: 200}})
+			m := nodes[0].mac
+			var left int
+			// Queued before the countdown starts, so at a shared instant it
+			// runs ahead of every countdown event.
+			s.At(tc.at, func() {
+				tc.pause(m)
+				left = m.backoffSlots
+			})
+			contendAt(s, m, 0, 10)
+			log := logTx(s, nodes[0])
+			s.Run(tc.at)
+			if left != tc.left {
+				t.Fatalf("%d slots left after the pause, want %d", left, tc.left)
+			}
+			if len(log.ids) != 0 {
+				t.Fatalf("transmitted at %v despite the pause", log.times)
+			}
+		})
+	}
+}
+
+// TestCountdownResumesWithRemainder: a countdown paused mid-slot resumes
+// after DIFS with the remaining slots and transmits exactly when they
+// run out.
+func TestCountdownResumesWithRemainder(t *testing.T) {
+	cfg := DefaultConfig()
+	slot := cfg.SlotTime
+	s, nodes := buildNodes(t, 1, cfg, []topo.Position{{X: 0}, {X: 200}})
+	m := nodes[0].mac
+	log := logTx(s, nodes[0])
+	contendAt(s, m, 0, 10)
+	// Countdown from t0 = DIFS; 3.5 slots in, the carrier goes busy (3
+	// slots charged, 7 left) and comes back idle at 400 µs.
+	s.At(cfg.DIFS+3*slot+slot/2, m.OnCarrierBusy)
+	idle := 400 * sim.Microsecond
+	s.At(idle, m.OnCarrierIdle)
+	s.Run(sim.Millisecond)
+	want := idle + cfg.DIFS + 7*slot
+	if len(log.ids) != 1 || log.times[0] != want {
+		t.Fatalf("transmissions at %v, want one at %v", log.times, want)
+	}
+	if got := s.EventsExecuted(); got > 12 {
+		t.Fatalf("%d events for two countdown segments; the countdown must not tick per slot", got)
+	}
+}
+
+// TestCountdownSameInstantOrder distils a tie from the saturated 4-hop
+// chain: contenders whose countdowns expire at one instant transmit in
+// the order the per-slot model gave them. There, every slot tick was
+// queued one slot ahead by the previous tick, so at any instant a
+// DIFS/EIFS expiry (queued a whole DIFS ahead) runs before every tick,
+// and ticks of a newer countdown run before those of an older one.
+// In every case below the countdowns all expire at 150 µs.
+func TestCountdownSameInstantOrder(t *testing.T) {
+	const us = sim.Microsecond
+	type start struct {
+		at    sim.Time // when the node starts contending; its countdown starts one DIFS later
+		slots int
+	}
+	cases := []struct {
+		name   string
+		starts []start
+		want   []int // transmitting nodes, in order
+	}{
+		// A counts 5 slots from 50 µs. D's DIFS ends at 130 µs, where the
+		// per-slot model's DIFS expiry ran before A's tick and so queued
+		// D's last tick first.
+		{"DIFS expiry before an older countdown", []start{{0, 5}, {80 * us, 1}}, []int{1, 0}},
+		// A and B count 5 slots from 50 µs (A's DIFS queued first); C
+		// counts 3 from 90 µs. Newer first, then A and B in start order.
+		{"newer countdown first, same start in start order", []start{{0, 5}, {0, 5}, {40 * us, 3}}, []int{2, 0, 1}},
+		// As above, plus E counting 2 slots from 110 µs: requeueing the
+		// older countdowns behind E must keep C ahead of A and B.
+		{"three generations of countdowns", []start{{0, 5}, {0, 5}, {40 * us, 3}, {60 * us, 2}}, []int{3, 2, 0, 1}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			pos := make([]topo.Position, len(tc.starts))
+			for i := range pos {
+				pos[i] = topo.Position{X: float64(100 * i)}
+			}
+			s, nodes := buildNodes(t, 1, DefaultConfig(), pos)
+			log := logTx(s, nodes[0])
+			for i, st := range tc.starts {
+				contendAt(s, nodes[i].mac, st.at, st.slots)
+			}
+			s.Run(150 * us)
+			if len(log.ids) != len(tc.want) {
+				t.Fatalf("transmitters %v at %v, want %v", log.ids, log.times, tc.want)
+			}
+			for i := range tc.want {
+				if log.ids[i] != tc.want[i] || log.times[i] != 150*us {
+					t.Fatalf("transmitters %v at %v, want %v all at 150µs", log.ids, log.times, tc.want)
+				}
+			}
+		})
 	}
 }

@@ -3,6 +3,7 @@ package node
 import (
 	"testing"
 
+	"muzha/internal/mac"
 	"muzha/internal/packet"
 	"muzha/internal/phy"
 	"muzha/internal/sim"
@@ -16,6 +17,7 @@ func buildTracedChain(t *testing.T, seed int64, hops int, buf *trace.Buffer) (*s
 	t.Helper()
 	s := sim.New(seed)
 	ch, err := phy.NewChannel(s, phy.DefaultConfig())
+	cd := mac.NewCountdowns()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,7 +30,7 @@ func buildTracedChain(t *testing.T, seed int64, hops int, buf *trace.Buffer) (*s
 	cfg.Trace = buf
 	nodes := make([]*Node, tp.N())
 	for i, pos := range tp.Positions {
-		n, err := New(s, ch, pos, packet.NodeID(i), &ids, cfg)
+		n, err := New(s, ch, cd, pos, packet.NodeID(i), &ids, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -129,6 +131,7 @@ func TestDropsAreAccounted(t *testing.T) {
 	buf := trace.NewBuffer(0)
 	s := sim.New(3)
 	ch, err := phy.NewChannel(s, phy.DefaultConfig())
+	cd := mac.NewCountdowns()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +142,7 @@ func TestDropsAreAccounted(t *testing.T) {
 	cfg.QueueLimit = 4
 	nodes := make([]*Node, tp.N())
 	for i, pos := range tp.Positions {
-		nodes[i], err = New(s, ch, pos, packet.NodeID(i), &ids, cfg)
+		nodes[i], err = New(s, ch, cd, pos, packet.NodeID(i), &ids, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -174,6 +177,7 @@ func TestResidualLossAccounting(t *testing.T) {
 	buf := trace.NewBuffer(0)
 	s := sim.New(5)
 	ch, _ := phy.NewChannel(s, phy.DefaultConfig())
+	cd := mac.NewCountdowns()
 	tp, _ := topo.Chain(2)
 	var ids packet.IDGen
 	cfg := DefaultConfig()
@@ -181,7 +185,7 @@ func TestResidualLossAccounting(t *testing.T) {
 	cfg.ResidualLossRate = 0.2
 	nodes := make([]*Node, tp.N())
 	for i, pos := range tp.Positions {
-		nodes[i], _ = New(s, ch, pos, packet.NodeID(i), &ids, cfg)
+		nodes[i], _ = New(s, ch, cd, pos, packet.NodeID(i), &ids, cfg)
 	}
 	sink := &recorder{flow: 1}
 	if err := nodes[2].Attach(sink); err != nil {

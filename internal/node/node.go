@@ -161,9 +161,9 @@ type Node struct {
 // qewmaGain is the per-forward EWMA weight of the queue-length signal.
 const qewmaGain = 0.1
 
-// New creates a node at pos attached to ch. ids must be shared by all
-// nodes of a simulation.
-func New(s *sim.Simulator, ch *phy.Channel, pos topo.Position, id packet.NodeID, ids *packet.IDGen, cfg Config) (*Node, error) {
+// New creates a node at pos attached to ch. cd and ids must be shared by
+// all nodes of a simulation.
+func New(s *sim.Simulator, ch *phy.Channel, cd *mac.Countdowns, pos topo.Position, id packet.NodeID, ids *packet.IDGen, cfg Config) (*Node, error) {
 	if cfg.QueueLimit < 1 {
 		return nil, fmt.Errorf("node: queue limit must be >= 1, got %d", cfg.QueueLimit)
 	}
@@ -209,7 +209,7 @@ func New(s *sim.Simulator, ch *phy.Channel, pos topo.Position, id packet.NodeID,
 	}
 
 	n.radio = ch.AddRadio(pos, macBridge{n: n})
-	m, err := mac.New(s, n.radio, id, n, cfg.MAC)
+	m, err := mac.New(s, n.radio, id, n, cfg.MAC, cd)
 	if err != nil {
 		return nil, err
 	}

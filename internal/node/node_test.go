@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"muzha/internal/core"
+	"muzha/internal/mac"
 	"muzha/internal/packet"
 	"muzha/internal/phy"
 	"muzha/internal/sim"
@@ -24,6 +25,7 @@ func buildChain(t *testing.T, seed int64, hops int, cfg Config) (*sim.Simulator,
 	t.Helper()
 	s := sim.New(seed)
 	ch, err := phy.NewChannel(s, phy.DefaultConfig())
+	cd := mac.NewCountdowns()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +36,7 @@ func buildChain(t *testing.T, seed int64, hops int, cfg Config) (*sim.Simulator,
 	var ids packet.IDGen
 	nodes := make([]*Node, tp.N())
 	for i, pos := range tp.Positions {
-		n, err := New(s, ch, pos, packet.NodeID(i), &ids, cfg)
+		n, err := New(s, ch, cd, pos, packet.NodeID(i), &ids, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -301,30 +303,31 @@ func TestREDQueueNode(t *testing.T) {
 func TestInvalidConfigs(t *testing.T) {
 	s := sim.New(1)
 	ch, _ := phy.NewChannel(s, phy.DefaultConfig())
+	cd := mac.NewCountdowns()
 	var ids packet.IDGen
 
 	cfg := DefaultConfig()
 	cfg.QueueLimit = 0
-	if _, err := New(s, ch, topo.Position{}, 0, &ids, cfg); err == nil {
+	if _, err := New(s, ch, cd, topo.Position{}, 0, &ids, cfg); err == nil {
 		t.Fatal("zero queue limit accepted")
 	}
 
 	cfg = DefaultConfig()
 	bad := core.DRAIPolicy{Thresholds: []float64{0.5}, Levels: []int{5}}
 	cfg.DRAI = &bad
-	if _, err := New(s, ch, topo.Position{}, 0, &ids, cfg); err == nil {
+	if _, err := New(s, ch, cd, topo.Position{}, 0, &ids, cfg); err == nil {
 		t.Fatal("invalid DRAI policy accepted")
 	}
 
 	cfg = DefaultConfig()
 	cfg.MAC.CWMin = 0
-	if _, err := New(s, ch, topo.Position{}, 0, &ids, cfg); err == nil {
+	if _, err := New(s, ch, cd, topo.Position{}, 0, &ids, cfg); err == nil {
 		t.Fatal("invalid MAC config accepted")
 	}
 
 	cfg = DefaultConfig()
 	cfg.AODV.MaxBuffered = 0
-	if _, err := New(s, ch, topo.Position{}, 0, &ids, cfg); err == nil {
+	if _, err := New(s, ch, cd, topo.Position{}, 0, &ids, cfg); err == nil {
 		t.Fatal("invalid AODV config accepted")
 	}
 }

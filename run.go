@@ -10,6 +10,7 @@ import (
 	"muzha/internal/fault"
 	"muzha/internal/harness"
 	"muzha/internal/invariant"
+	"muzha/internal/mac"
 	"muzha/internal/node"
 	"muzha/internal/packet"
 	"muzha/internal/phy"
@@ -137,6 +138,9 @@ func run(cfg Config) (res *Result, err error) {
 	if tx := cfg.txHook; tx != nil {
 		ch.SetTxHook(func(radio int, pkt *packet.Packet) { tx(radio, s.Now(), pkt) })
 	}
+	// One backoff-countdown registry per simulator: the DCFs on s order
+	// their same-instant countdowns through it.
+	countdowns := mac.NewCountdowns()
 
 	nodeCfg := node.DefaultConfig()
 	nodeCfg.QueueLimit = cfg.QueueLimit
@@ -184,7 +188,7 @@ func run(cfg Config) (res *Result, err error) {
 	tp := cfg.Topology.inner
 	nodes := make([]*node.Node, tp.N())
 	for i, pos := range tp.Positions {
-		n, err := node.New(s, ch, pos, packet.NodeID(i), &ids, nodeCfg)
+		n, err := node.New(s, ch, countdowns, pos, packet.NodeID(i), &ids, nodeCfg)
 		if err != nil {
 			return nil, fmt.Errorf("muzha: node %d: %w", i, err)
 		}

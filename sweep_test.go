@@ -247,13 +247,19 @@ type failingWriter struct{}
 
 func (failingWriter) Write([]byte) (int, error) { return 0, errors.New("disk full") }
 
-// TestRunSurfacesTraceErrorAlongsideRunError is the satellite check: a
-// run that aborts must still report its truncated packet trace, so the
-// trace is never mistaken for a complete one.
+// TestRunSurfacesTraceErrorAlongsideRunError: a run that aborts must
+// still report its truncated packet trace, so the trace is never
+// mistaken for a complete one.
 func TestRunSurfacesTraceErrorAlongsideRunError(t *testing.T) {
+	// Half the events of the unguarded run: the budget must trip
+	// however many events the engine needs for this scenario.
+	plain, err := Run(guardConfig(t))
+	if err != nil {
+		t.Fatal(err)
+	}
 	cfg := guardConfig(t)
 	cfg.PacketTrace = failingWriter{}
-	cfg.Guards = RunGuards{MaxEvents: 20_000}
+	cfg.Guards = RunGuards{MaxEvents: plain.Events / 2}
 	res, err := Run(cfg)
 	if res != nil {
 		t.Fatal("partial Result escaped a failed traced run")
