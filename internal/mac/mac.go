@@ -124,15 +124,14 @@ type DCF struct {
 	navEv    sim.EventRef // wake-up at NAV expiry
 	timeout  *sim.Timer   // CTS/ACK timeout
 
-	// Backoff countdown (see startCountdown). While counting, the slots
-	// since t0 are consumed implicitly; a pause charges them to
-	// backoffSlots. countT fires first at rearmAt (when rearmAt != 0),
+	// Backoff countdown (see startCountdown). While countT is pending,
+	// the slots since t0 are consumed implicitly; a pause charges them
+	// to backoffSlots. countT fires first at rearmAt (when rearmAt != 0),
 	// then at the expiry one slot later.
-	cd       *Countdowns
-	countT   *sim.Timer
-	counting bool
-	t0       sim.Time // slot origin: the DIFS/EIFS expiry that started the countdown
-	rearmAt  sim.Time // pending rearm instant; 0 once the expiry is armed
+	cd      *Countdowns
+	countT  *sim.Timer
+	t0      sim.Time // slot origin: the DIFS/EIFS expiry that started the countdown
+	rearmAt sim.Time // pending rearm instant; 0 once the expiry is armed
 
 	resp      *packet.Packet
 	respEv    sim.EventRef // SIFS-scheduled response transmission
@@ -313,23 +312,22 @@ func (m *DCF) resume() {
 	m.cd.refresh(m.sim.Now()+wait, nil)
 }
 
-// cancelDefer pauses channel access: it stops the DIFS/EIFS wait, the
-// NAV wake-up and a running countdown. A slot boundary at exactly now
-// is not charged; see pause.
+// cancelDefer is pause for everything but a carrier-busy edge.
 func (m *DCF) cancelDefer() { m.pause(false) }
 
-// pause is cancelDefer. A running countdown is charged the slots that
-// elapsed since t0. A boundary at exactly now counts only when edge is
-// set (a carrier-busy edge): the per-slot model this timer replaces
-// queued that boundary's tick one slot ahead, which is before the
-// signal-start event that raises carrier busy (queued one propagation
-// delay ahead), and after the frame-end events that drive NAV, response
-// and reset pauses (queued at least one airtime ahead).
+// pause stops channel access: the DIFS/EIFS wait, the NAV wake-up and a
+// running countdown, which is charged the slots elapsed since t0. A
+// boundary at exactly now counts only when edge is set (a carrier-busy
+// edge): the per-slot model this timer replaces queued that boundary's
+// tick one slot ahead, which is before the signal-start event that
+// raises carrier busy (queued one propagation delay ahead), and after
+// the frame-end events that drive NAV, response and reset pauses
+// (queued at least one airtime ahead).
 func (m *DCF) pause(edge bool) {
 	m.deferT.Stop()
 	m.navEv.Cancel()
 	m.navEv = sim.EventRef{}
-	if !m.counting {
+	if !m.countT.Stop() {
 		return
 	}
 	elapsed := m.sim.Now() - m.t0
@@ -338,12 +336,6 @@ func (m *DCF) pause(edge bool) {
 		slots--
 	}
 	m.backoffSlots -= slots
-	m.stopCountdown()
-}
-
-func (m *DCF) stopCountdown() {
-	m.counting = false
-	m.countT.Stop()
 	if m.rearmAt != 0 {
 		m.cd.remove(m)
 		m.rearmAt = 0
@@ -370,7 +362,6 @@ func (m *DCF) onDefer() {
 // the event order that the last per-slot tick had.
 func (m *DCF) startCountdown() {
 	now := m.sim.Now()
-	m.counting = true
 	m.t0 = now
 	n := sim.Time(m.backoffSlots)
 	if n == 1 {
@@ -390,7 +381,6 @@ func (m *DCF) onCount() {
 		m.countT.Reset(m.cfg.SlotTime)
 		return
 	}
-	m.counting = false
 	m.backoffSlots = 0
 	if m.st != stateContend || m.mediumBusy() {
 		return
