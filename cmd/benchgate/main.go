@@ -2,15 +2,21 @@
 //
 // It parses `go test -bench` output (from a file argument or stdin),
 // compares every benchmark that also appears in the committed baseline
-// BENCH_sim.json, and exits non-zero when throughput regressed:
+// BENCH_sim.json, and exits non-zero when one got slower:
 //
-//	go test -run '^$' -bench Scenario -benchtime 2s . | go run ./cmd/benchgate -baseline BENCH_sim.json
+//	go test -run '^$' -bench 'Scenario|EventChurn' -benchtime 2s . ./internal/sim | go run ./cmd/benchgate -baseline BENCH_sim.json
 //
 // The gate is deliberately narrow so it stays trustworthy on shared CI
 // runners:
 //
-//   - events/s (the custom metric every gated benchmark reports) must
-//     not drop more than -max-regress (default 20%) below baseline.
+//   - ns/op is gated in units of the calibration benchmark
+//     (BenchmarkEventChurn) from the same input: each benchmark's ns/op
+//     divided by the calibration's ns/op must not grow more than
+//     -max-regress (default 20%) over the same ratio in the baseline.
+//     The ratio cancels most of the speed difference between hosts,
+//     and unlike events/s it cannot be improved by adding events. The
+//     input must contain the calibration benchmark.
+//   - events/s is printed for reference only.
 //   - allocs/op must not exceed -max-alloc-ratio (default 1.5x) the
 //     baseline. Allocation counts are deterministic, but fixed setup
 //     costs (pool priming) dominate at tiny iteration counts, so the
@@ -18,12 +24,13 @@
 //   - a baseline entry may carry "max_allocs_per_op", a hand-committed
 //     absolute ceiling gated even at one iteration — the memory gate
 //     for expensive node-scale benchmarks CI only smokes once.
-//   - ns/op is reported but never gated: wall-clock noise on shared
-//     runners would make it flaky.
 //
 // With -update the tool instead rewrites the baseline's "benchmarks"
-// section from the parsed output, preserving the "history" section.
-// scripts/bench.sh wires the two modes together.
+// section from the parsed output, preserving the "history" section,
+// and stamps the baseline with the host it was recorded on (CPU model
+// from the bench header, GOMAXPROCS from the benchmark name suffix, Go
+// version of the toolchain running the tool). scripts/bench.sh wires
+// the two modes together.
 //
 // With -scaling <family> the tool prints the parallel scaling curve of
 // a width-swept benchmark (sub-benchmarks named <family>/serial and
@@ -35,15 +42,22 @@ package main
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"os"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
 )
+
+// calibration is the benchmark whose ns/op from the same input is the
+// unit every other benchmark's ns/op is gated in: a tight loop over the
+// event heap, sensitive to the host's speed but not to model changes.
+const calibration = "BenchmarkEventChurn"
 
 // result holds one benchmark's parsed (or baseline) numbers.
 type result struct {
@@ -65,8 +79,48 @@ type result struct {
 type baseline struct {
 	Note       string                       `json:"note,omitempty"`
 	Command    string                       `json:"command,omitempty"`
+	Host       *host                        `json:"host,omitempty"`
 	History    map[string]map[string]result `json:"history,omitempty"`
 	Benchmarks map[string]result            `json:"benchmarks"`
+}
+
+// host identifies the machine and toolchain a set of numbers came from.
+type host struct {
+	CPU        string `json:"cpu"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	Go         string `json:"go"`
+}
+
+func (h host) String() string {
+	return fmt.Sprintf("%s, GOMAXPROCS=%d, %s", h.CPU, h.GOMAXPROCS, h.Go)
+}
+
+// parseHost reads the host of `go test -bench` output: the "cpu:"
+// header line and the GOMAXPROCS suffix of the first benchmark name
+// (no suffix means 1). The Go version is this tool's, which `go run`
+// builds with the same toolchain as the benchmarks.
+func parseHost(data []byte) host {
+	h := host{GOMAXPROCS: 1, Go: runtime.Version()}
+	sc := bufio.NewScanner(bytes.NewReader(data))
+	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
+	procsSeen := false
+	for sc.Scan() {
+		line := sc.Text()
+		if cpu, ok := strings.CutPrefix(line, "cpu: "); ok && h.CPU == "" {
+			h.CPU = strings.TrimSpace(cpu)
+		}
+		fields := strings.Fields(line)
+		if procsSeen || len(fields) < 4 || !strings.HasPrefix(fields[0], "Benchmark") {
+			continue
+		}
+		procsSeen = true
+		if i := strings.LastIndex(fields[0], "-"); i > 0 {
+			if n, err := strconv.Atoi(fields[0][i+1:]); err == nil {
+				h.GOMAXPROCS = n
+			}
+		}
+	}
+	return h
 }
 
 func main() {
@@ -81,7 +135,7 @@ func run(argv []string, out io.Writer) error {
 	fs.SetOutput(out)
 	var (
 		baselinePath  = fs.String("baseline", "BENCH_sim.json", "baseline file to compare against (or rewrite with -update)")
-		maxRegress    = fs.Float64("max-regress", 0.20, "maximum tolerated fractional events/s regression")
+		maxRegress    = fs.Float64("max-regress", 0.20, "maximum tolerated fractional growth of ns/op in units of "+calibration)
 		maxAllocRatio = fs.Float64("max-alloc-ratio", 1.5, "maximum tolerated allocs/op ratio vs baseline")
 		update        = fs.Bool("update", false, "rewrite the baseline's benchmarks section from the input instead of comparing")
 		scaling       = fs.String("scaling", "", "print the parallel scaling curve of this benchmark family (sub-benchmarks <family>/serial, <family>/workers=N) instead of gating")
@@ -92,16 +146,17 @@ func run(argv []string, out io.Writer) error {
 		return err
 	}
 
-	in := os.Stdin
+	var data []byte
+	var err error
 	if fs.NArg() > 0 {
-		f, err := os.Open(fs.Arg(0))
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		in = f
+		data, err = os.ReadFile(fs.Arg(0))
+	} else {
+		data, err = io.ReadAll(os.Stdin)
 	}
-	got, err := parseBench(in)
+	if err != nil {
+		return err
+	}
+	got, err := parseBench(bytes.NewReader(data))
 	if err != nil {
 		return err
 	}
@@ -112,14 +167,25 @@ func run(argv []string, out io.Writer) error {
 	if *scaling != "" {
 		return scalingCurve(*scaling, got, *minSpeedup, *speedupAt, out)
 	}
+	h := parseHost(data)
 	if *update {
-		return writeBaseline(*baselinePath, got, out)
+		return writeBaseline(*baselinePath, got, h, out)
 	}
 
 	base, err := readBaseline(*baselinePath)
 	if err != nil {
 		return err
 	}
+	if got[calibration].NsPerOp <= 0 {
+		return fmt.Errorf("input has no %s ns/op to gate against", calibration)
+	}
+	if base.Benchmarks[calibration].NsPerOp <= 0 {
+		return fmt.Errorf("%s has no %s ns/op to gate against", *baselinePath, calibration)
+	}
+	if base.Host != nil {
+		fmt.Fprintf(out, "baseline host: %s\n", *base.Host)
+	}
+	fmt.Fprintf(out, "this host:     %s\n", h)
 	failures := compare(base.Benchmarks, got, *maxRegress, *maxAllocRatio, out)
 	if len(failures) > 0 {
 		return fmt.Errorf("%d benchmark(s) regressed: %s", len(failures), strings.Join(failures, "; "))
@@ -192,8 +258,11 @@ func readBaseline(path string) (*baseline, error) {
 
 // compare checks every baseline benchmark present in got and returns
 // the names that fail the gate. Baseline entries missing from the input
-// are reported but do not fail: CI may gate only a subset per run.
+// are reported but do not fail: CI may gate only a subset per run. The
+// time gate needs the calibration benchmark's ns/op on both sides and
+// the benchmark's own; without them only allocations are gated.
 func compare(base, got map[string]result, maxRegress, maxAllocRatio float64, out io.Writer) []string {
+	baseCal, gotCal := base[calibration].NsPerOp, got[calibration].NsPerOp
 	names := make([]string, 0, len(base))
 	for name := range base {
 		names = append(names, name)
@@ -209,10 +278,15 @@ func compare(base, got map[string]result, maxRegress, maxAllocRatio float64, out
 			continue
 		}
 		status := "ok"
-		if b.EventsPerS > 0 && g.EventsPerS < b.EventsPerS*(1-maxRegress) {
+		// Time in calibration units: 1 = as long as one calibration op.
+		var gotCal1, baseCal1 float64
+		if baseCal > 0 && gotCal > 0 && name != calibration {
+			gotCal1, baseCal1 = g.NsPerOp/gotCal, b.NsPerOp/baseCal
+		}
+		if baseCal1 > 0 && gotCal1 > baseCal1*(1+maxRegress) {
 			status = "FAIL"
-			failures = append(failures, fmt.Sprintf("%s events/s %.0f < %.0f-%d%%",
-				name, g.EventsPerS, b.EventsPerS, int(maxRegress*100)))
+			failures = append(failures, fmt.Sprintf("%s ns/op %.4g cal > %.4g cal +%d%%",
+				name, gotCal1, baseCal1, int(maxRegress*100)))
 		}
 		if g.Iters >= 100 && b.AllocsPerOp > 0 && g.AllocsPerOp > b.AllocsPerOp*maxAllocRatio {
 			status = "FAIL"
@@ -224,8 +298,12 @@ func compare(base, got map[string]result, maxRegress, maxAllocRatio float64, out
 			failures = append(failures, fmt.Sprintf("%s allocs/op %.0f > ceiling %.0f",
 				name, g.AllocsPerOp, b.MaxAllocsPerOp))
 		}
-		fmt.Fprintf(out, "%-5s %-28s events/s %12.0f (baseline %12.0f)  allocs/op %7.0f (baseline %7.0f)\n",
-			status, name, g.EventsPerS, b.EventsPerS, g.AllocsPerOp, b.AllocsPerOp)
+		time := "(calibration)"
+		if baseCal1 > 0 {
+			time = fmt.Sprintf("= %.4g cal (baseline %.4g)", gotCal1, baseCal1)
+		}
+		fmt.Fprintf(out, "%-5s %-40s ns/op %12.0f %-34s events/s %10.0f  allocs/op %7.0f (baseline %7.0f)\n",
+			status, name, g.NsPerOp, time, g.EventsPerS, g.AllocsPerOp, b.AllocsPerOp)
 	}
 	return failures
 }
@@ -277,8 +355,9 @@ func scalingCurve(family string, got map[string]result, minSpeedup float64, spee
 }
 
 // writeBaseline rewrites the benchmarks section of the baseline file
-// from got, preserving note/command/history if the file already exists.
-func writeBaseline(path string, got map[string]result, out io.Writer) error {
+// from got and stamps it with h, preserving note/command/history if the
+// file already exists.
+func writeBaseline(path string, got map[string]result, h host, out io.Writer) error {
 	b := &baseline{}
 	if old, err := readBaseline(path); err == nil {
 		b = old
@@ -294,6 +373,7 @@ func writeBaseline(path string, got map[string]result, out io.Writer) error {
 		}
 	}
 	b.Benchmarks = got
+	b.Host = &h
 	data, err := json.MarshalIndent(b, "", "  ")
 	if err != nil {
 		return err

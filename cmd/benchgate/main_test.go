@@ -3,6 +3,7 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -10,6 +11,7 @@ import (
 const sampleBench = `goos: linux
 goarch: amd64
 pkg: muzha
+cpu: Intel(R) Xeon(R) Processor @ 2.10GHz
 BenchmarkScenario4HopChain-8   	     150	   7926718 ns/op	   9995234 events/s	 1550411 B/op	   55509 allocs/op
 BenchmarkEventChurn-8          	12000000	      94.28 ns/op	  10634547 events/s	       0 B/op	       0 allocs/op
 PASS
@@ -37,34 +39,133 @@ func TestParseBench(t *testing.T) {
 }
 
 func TestCompareRegressionFails(t *testing.T) {
-	base := map[string]result{"BenchmarkX": {EventsPerS: 1000, AllocsPerOp: 100}}
+	// BenchmarkX takes 10 calibration ops in the baseline.
+	base := map[string]result{
+		calibration:  {NsPerOp: 100},
+		"BenchmarkX": {NsPerOp: 1000, AllocsPerOp: 100},
+	}
+	with := func(cal, x float64, allocs float64, iters int) map[string]result {
+		return map[string]result{
+			calibration:  {NsPerOp: cal},
+			"BenchmarkX": {NsPerOp: x, AllocsPerOp: allocs, Iters: iters},
+		}
+	}
 	var sb strings.Builder
 
-	// 10% down: within the 20% tolerance.
-	ok := map[string]result{"BenchmarkX": {EventsPerS: 900, AllocsPerOp: 100, Iters: 500}}
-	if f := compare(base, ok, 0.20, 1.5, &sb); len(f) != 0 {
-		t.Fatalf("10%% regression failed the gate: %v", f)
+	// 15% slower: within the 20% tolerance.
+	if f := compare(base, with(100, 1150, 100, 500), 0.20, 1.5, &sb); len(f) != 0 {
+		t.Fatalf("15%% regression failed the gate: %v", f)
 	}
 
-	// 30% down: must fail.
-	bad := map[string]result{"BenchmarkX": {EventsPerS: 700, AllocsPerOp: 100, Iters: 500}}
-	if f := compare(base, bad, 0.20, 1.5, &sb); len(f) != 1 {
-		t.Fatalf("30%% regression passed the gate: %v", f)
+	// 25% slower: must fail.
+	if f := compare(base, with(100, 1250, 100, 500), 0.20, 1.5, &sb); len(f) != 1 {
+		t.Fatalf("25%% regression passed the gate: %v", f)
 	}
 
 	// Alloc blow-up fails, but only at real iteration counts.
-	allocs := map[string]result{"BenchmarkX": {EventsPerS: 1000, AllocsPerOp: 200, Iters: 500}}
-	if f := compare(base, allocs, 0.20, 1.5, &sb); len(f) != 1 {
+	if f := compare(base, with(100, 1000, 200, 500), 0.20, 1.5, &sb); len(f) != 1 {
 		t.Fatalf("2x allocs passed the gate: %v", f)
 	}
-	primed := map[string]result{"BenchmarkX": {EventsPerS: 1000, AllocsPerOp: 200, Iters: 1}}
-	if f := compare(base, primed, 0.20, 1.5, &sb); len(f) != 0 {
+	if f := compare(base, with(100, 1000, 200, 1), 0.20, 1.5, &sb); len(f) != 0 {
 		t.Fatalf("setup-dominated allocs at 1 iteration failed the gate: %v", f)
 	}
 
 	// Baseline entry missing from input is a skip, not a failure.
 	if f := compare(base, map[string]result{}, 0.20, 1.5, &sb); len(f) != 0 {
 		t.Fatalf("missing benchmark failed the gate: %v", f)
+	}
+}
+
+// TestCompareNormalizesByCalibration: ns/op is gated in units of the
+// calibration benchmark from the same input, so a uniformly slower host
+// passes and a regression hidden by a faster host does not.
+func TestCompareNormalizesByCalibration(t *testing.T) {
+	base := map[string]result{
+		calibration:  {NsPerOp: 100},
+		"BenchmarkX": {NsPerOp: 1000},
+	}
+	var sb strings.Builder
+	slowHost := map[string]result{calibration: {NsPerOp: 200}, "BenchmarkX": {NsPerOp: 2100}}
+	if f := compare(base, slowHost, 0.20, 1.5, &sb); len(f) != 0 {
+		t.Fatalf("a 2x slower host with no regression failed the gate: %v", f)
+	}
+	fastHost := map[string]result{calibration: {NsPerOp: 50}, "BenchmarkX": {NsPerOp: 650}}
+	if f := compare(base, fastHost, 0.20, 1.5, &sb); len(f) != 1 {
+		t.Fatalf("a 30%% regression on a 2x faster host passed the gate: %v", f)
+	}
+}
+
+// TestCompareIgnoresEventsPerS: a change that does the same work in
+// half the events lowers events/s while ns/op falls; it must pass.
+func TestCompareIgnoresEventsPerS(t *testing.T) {
+	base := map[string]result{
+		calibration:  {NsPerOp: 100, EventsPerS: 10_000_000},
+		"BenchmarkX": {NsPerOp: 1000, EventsPerS: 6_000_000},
+	}
+	got := map[string]result{
+		calibration:  {NsPerOp: 100, EventsPerS: 10_000_000},
+		"BenchmarkX": {NsPerOp: 750, EventsPerS: 4_000_000},
+	}
+	var sb strings.Builder
+	if f := compare(base, got, 0.20, 1.5, &sb); len(f) != 0 {
+		t.Fatalf("a faster run with fewer events/s failed the gate: %v", f)
+	}
+}
+
+// TestRunRequiresCalibration: without the calibration benchmark in the
+// input or the baseline, ns/op cannot be gated, and the tool says so
+// instead of passing.
+func TestRunRequiresCalibration(t *testing.T) {
+	dir := t.TempDir()
+	benchOut := filepath.Join(dir, "bench.out")
+	noCal := strings.ReplaceAll(sampleBench, "BenchmarkEventChurn", "BenchmarkOther")
+	if err := os.WriteFile(benchOut, []byte(noCal), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	basePath := filepath.Join(dir, "BENCH_sim.json")
+	if err := os.WriteFile(basePath, []byte(`{"benchmarks": {
+		"BenchmarkEventChurn": {"ns_per_op": 94},
+		"BenchmarkScenario4HopChain": {"ns_per_op": 8000000}}}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var sb strings.Builder
+	if err := run([]string{"-baseline", basePath, benchOut}, &sb); err == nil || !strings.Contains(err.Error(), calibration) {
+		t.Fatalf("input without %s: err = %v", calibration, err)
+	}
+	if err := os.WriteFile(benchOut, []byte(sampleBench), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(basePath, []byte(`{"benchmarks": {"BenchmarkScenario4HopChain": {"ns_per_op": 8000000}}}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := run([]string{"-baseline", basePath, benchOut}, &sb); err == nil || !strings.Contains(err.Error(), calibration) {
+		t.Fatalf("baseline without %s: err = %v", calibration, err)
+	}
+}
+
+// TestUpdateStampsHost: -update records the CPU model, GOMAXPROCS and
+// Go version the numbers were measured with.
+func TestUpdateStampsHost(t *testing.T) {
+	dir := t.TempDir()
+	benchOut := filepath.Join(dir, "bench.out")
+	if err := os.WriteFile(benchOut, []byte(sampleBench), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	basePath := filepath.Join(dir, "BENCH_sim.json")
+	var sb strings.Builder
+	if err := run([]string{"-baseline", basePath, "-update", benchOut}, &sb); err != nil {
+		t.Fatal(err)
+	}
+	b, err := readBaseline(basePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := host{CPU: "Intel(R) Xeon(R) Processor @ 2.10GHz", GOMAXPROCS: 8, Go: runtime.Version()}
+	if b.Host == nil || *b.Host != want {
+		t.Fatalf("host = %+v, want %+v", b.Host, want)
+	}
+	if h := parseHost([]byte("BenchmarkX \t 10 \t 5 ns/op\n")); h.GOMAXPROCS != 1 || h.CPU != "" {
+		t.Fatalf("unsuffixed benchmark: host = %+v, want GOMAXPROCS 1 and no CPU", h)
 	}
 }
 
@@ -119,7 +220,9 @@ func TestRunEndToEnd(t *testing.T) {
 	basePath := filepath.Join(dir, "BENCH_sim.json")
 	if err := os.WriteFile(basePath, []byte(`{
 		"history": {"pre_refactor": {"BenchmarkScenario4HopChain": {"ns_per_op": 17434308, "events_per_s": 4478095}}},
-		"benchmarks": {"BenchmarkScenario4HopChain": {"ns_per_op": 8000000, "events_per_s": 10000000, "allocs_per_op": 56000}}
+		"benchmarks": {
+			"BenchmarkEventChurn": {"ns_per_op": 94},
+			"BenchmarkScenario4HopChain": {"ns_per_op": 8000000, "events_per_s": 10000000, "allocs_per_op": 56000}}
 	}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -129,9 +232,10 @@ func TestRunEndToEnd(t *testing.T) {
 		t.Fatalf("gate failed on matching numbers: %v\n%s", err, sb.String())
 	}
 
-	// A baseline far above the measured numbers must fail.
-	if err := os.WriteFile(basePath, []byte(`{"benchmarks":
-		{"BenchmarkScenario4HopChain": {"events_per_s": 99000000}}}`), 0o644); err != nil {
+	// A baseline far faster than the measured numbers must fail.
+	if err := os.WriteFile(basePath, []byte(`{"benchmarks": {
+		"BenchmarkEventChurn": {"ns_per_op": 94},
+		"BenchmarkScenario4HopChain": {"ns_per_op": 800000}}}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if err := run([]string{"-baseline", basePath, benchOut}, &sb); err == nil {

@@ -8,7 +8,9 @@
 #   scripts/bench.sh -scaling   # run the multi-domain scaling benchmarks and
 #                               # print the parallel speedup curve
 #
-# Run on an idle machine: events/s is wall-clock throughput. The
+# Run on an idle machine: ns/op is gated in units of BenchmarkEventChurn
+# from the same run, and -update stamps the baseline with this host's
+# CPU model, GOMAXPROCS and Go version. The
 # "history" section of BENCH_sim.json is preserved across -update; add
 # entries there by hand when recording a before/after milestone (the
 # parallel scaling curve of a multicore machine belongs there).
