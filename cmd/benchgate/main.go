@@ -42,7 +42,6 @@ package main
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -95,34 +94,6 @@ func (h host) String() string {
 	return fmt.Sprintf("%s, GOMAXPROCS=%d, %s", h.CPU, h.GOMAXPROCS, h.Go)
 }
 
-// parseHost reads the host of `go test -bench` output: the "cpu:"
-// header line and the GOMAXPROCS suffix of the first benchmark name
-// (no suffix means 1). The Go version is this tool's, which `go run`
-// builds with the same toolchain as the benchmarks.
-func parseHost(data []byte) host {
-	h := host{GOMAXPROCS: 1, Go: runtime.Version()}
-	sc := bufio.NewScanner(bytes.NewReader(data))
-	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
-	procsSeen := false
-	for sc.Scan() {
-		line := sc.Text()
-		if cpu, ok := strings.CutPrefix(line, "cpu: "); ok && h.CPU == "" {
-			h.CPU = strings.TrimSpace(cpu)
-		}
-		fields := strings.Fields(line)
-		if procsSeen || len(fields) < 4 || !strings.HasPrefix(fields[0], "Benchmark") {
-			continue
-		}
-		procsSeen = true
-		if i := strings.LastIndex(fields[0], "-"); i > 0 {
-			if n, err := strconv.Atoi(fields[0][i+1:]); err == nil {
-				h.GOMAXPROCS = n
-			}
-		}
-	}
-	return h
-}
-
 func main() {
 	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "benchgate:", err)
@@ -146,17 +117,16 @@ func run(argv []string, out io.Writer) error {
 		return err
 	}
 
-	var data []byte
-	var err error
+	in := os.Stdin
 	if fs.NArg() > 0 {
-		data, err = os.ReadFile(fs.Arg(0))
-	} else {
-		data, err = io.ReadAll(os.Stdin)
+		f, err := os.Open(fs.Arg(0))
+		if err != nil {
+			return err
+		}
+		defer f.Close()
+		in = f
 	}
-	if err != nil {
-		return err
-	}
-	got, err := parseBench(bytes.NewReader(data))
+	got, h, err := parseBench(in)
 	if err != nil {
 		return err
 	}
@@ -167,7 +137,6 @@ func run(argv []string, out io.Writer) error {
 	if *scaling != "" {
 		return scalingCurve(*scaling, got, *minSpeedup, *speedupAt, out)
 	}
-	h := parseHost(data)
 	if *update {
 		return writeBaseline(*baselinePath, got, h, out)
 	}
@@ -200,20 +169,31 @@ func run(argv []string, out io.Writer) error {
 //	BenchmarkScenario4HopChain-8  150  7926718 ns/op  9995234 events/s  1550411 B/op  55509 allocs/op
 //
 // The GOMAXPROCS suffix (-8) is stripped so baselines are portable
-// across machines.
-func parseBench(r io.Reader) (map[string]result, error) {
+// across machines. The host the output came from is the "cpu:" header,
+// the first benchmark's GOMAXPROCS suffix (none means 1) and this
+// tool's Go version, which `go run` builds with the benchmarks'
+// toolchain.
+func parseBench(r io.Reader) (map[string]result, host, error) {
 	out := make(map[string]result)
+	h := host{GOMAXPROCS: 1, Go: runtime.Version()}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
 	for sc.Scan() {
-		fields := strings.Fields(sc.Text())
+		line := sc.Text()
+		if cpu, ok := strings.CutPrefix(line, "cpu: "); ok && h.CPU == "" {
+			h.CPU = strings.TrimSpace(cpu)
+		}
+		fields := strings.Fields(line)
 		if len(fields) < 4 || !strings.HasPrefix(fields[0], "Benchmark") {
 			continue
 		}
 		name := fields[0]
 		if i := strings.LastIndex(name, "-"); i > 0 {
-			if _, err := strconv.Atoi(name[i+1:]); err == nil {
+			if n, err := strconv.Atoi(name[i+1:]); err == nil {
 				name = name[:i]
+				if len(out) == 0 {
+					h.GOMAXPROCS = n
+				}
 			}
 		}
 		iters, err := strconv.Atoi(fields[1])
@@ -241,7 +221,7 @@ func parseBench(r io.Reader) (map[string]result, error) {
 		// would overwrite each other; the gated set has unique names.
 		out[name] = res
 	}
-	return out, sc.Err()
+	return out, h, sc.Err()
 }
 
 func readBaseline(path string) (*baseline, error) {

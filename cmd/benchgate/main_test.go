@@ -19,7 +19,7 @@ ok  	muzha	3.1s
 `
 
 func TestParseBench(t *testing.T) {
-	got, err := parseBench(strings.NewReader(sampleBench))
+	got, _, err := parseBench(strings.NewReader(sampleBench))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +164,7 @@ func TestUpdateStampsHost(t *testing.T) {
 	if b.Host == nil || *b.Host != want {
 		t.Fatalf("host = %+v, want %+v", b.Host, want)
 	}
-	if h := parseHost([]byte("BenchmarkX \t 10 \t 5 ns/op\n")); h.GOMAXPROCS != 1 || h.CPU != "" {
+	if _, h, _ := parseBench(strings.NewReader("BenchmarkX \t 10 \t 5 ns/op\n")); h.GOMAXPROCS != 1 || h.CPU != "" {
 		t.Fatalf("unsuffixed benchmark: host = %+v, want GOMAXPROCS 1 and no CPU", h)
 	}
 }
@@ -278,7 +278,7 @@ PASS
 `
 
 func TestScalingCurve(t *testing.T) {
-	got, err := parseBench(strings.NewReader(sampleScaling))
+	got, _, err := parseBench(strings.NewReader(sampleScaling))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,13 +6,16 @@ package muzha
 // ordered stream of those pairs is a complete fingerprint of a run's
 // control flow — any change to scheduling order, timer behaviour, medium
 // geometry or random-draw placement perturbs it. These tests hash the
-// stream for four reference scenarios (static chain, two-flow cross,
-// mobility, chaos with fault injection) and compare against committed
-// fixtures, so engine optimizations must prove they changed nothing:
-// the fixtures were generated on the pre-optimization engine and must
-// keep matching bit-for-bit afterwards.
+// stream for seven reference scenarios (static chain, two-flow cross,
+// mobility, chaos with fault injection, three multi-domain islands) and
+// compare against committed fixtures, so engine optimizations must prove
+// they changed nothing. An optimization that removes events changes the
+// stream by construction; TestGoldenSemantic, which hashes only what
+// each radio transmits and the Result, is its proof instead.
 //
-// Regenerate (only when an intentional semantic change occurs) with:
+// Regenerate (only when an intentional semantic change occurs, or when
+// TestGoldenSemantic proves an event-removing change left behaviour
+// intact) with:
 //
 //	go test -run TestGoldenEventSequence -update-golden .
 
@@ -182,29 +185,36 @@ func TestGoldenEventSequence(t *testing.T) {
 	for name, cfg := range goldenScenarios(t) {
 		got[name] = goldenHash(t, cfg)
 	}
+	checkFixture(t, goldenPath, "-update-golden", *updateGolden, got, "event sequence")
+}
 
-	if *updateGolden {
+// checkFixture compares per-scenario hashes against the JSON fixture at
+// path, or rewrites the fixture when update is set (the flag named
+// updateFlag). what names the hashed property in mismatch messages.
+func checkFixture(t *testing.T, path, updateFlag string, update bool, got map[string]string, what string) {
+	t.Helper()
+	if update {
 		data, err := json.MarshalIndent(got, "", "  ")
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := os.MkdirAll(filepath.Dir(goldenPath), 0o755); err != nil {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(goldenPath, append(data, '\n'), 0o644); err != nil {
+		if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		t.Logf("wrote %s: %v", goldenPath, got)
+		t.Logf("wrote %s: %v", path, got)
 		return
 	}
 
-	data, err := os.ReadFile(goldenPath)
+	data, err := os.ReadFile(path)
 	if err != nil {
-		t.Fatalf("missing golden fixture (run with -update-golden to create): %v", err)
+		t.Fatalf("missing fixture (run with %s to create): %v", updateFlag, err)
 	}
 	want := make(map[string]string)
 	if err := json.Unmarshal(data, &want); err != nil {
-		t.Fatalf("corrupt golden fixture: %v", err)
+		t.Fatalf("corrupt fixture %s: %v", path, err)
 	}
 	for name, wh := range want {
 		if got[name] == "" {
@@ -212,12 +222,12 @@ func TestGoldenEventSequence(t *testing.T) {
 			continue
 		}
 		if got[name] != wh {
-			t.Errorf("%s: event sequence diverged: got %s, fixture %s", name, got[name], wh)
+			t.Errorf("%s: %s diverged: got %s, fixture %s", name, what, got[name], wh)
 		}
 	}
 	for name := range got {
 		if _, ok := want[name]; !ok {
-			t.Errorf("%s: scenario missing from fixture; rerun with -update-golden", name)
+			t.Errorf("%s: scenario missing from fixture; rerun with %s", name, updateFlag)
 		}
 	}
 }
@@ -301,37 +311,5 @@ func TestGoldenSemantic(t *testing.T) {
 	for name, cfg := range goldenScenarios(t) {
 		got[name] = semanticHash(t, cfg)
 	}
-	if *updateSemantic {
-		data, err := json.MarshalIndent(got, "", "  ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(semanticPath, append(data, '\n'), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("wrote %s: %v", semanticPath, got)
-		return
-	}
-	data, err := os.ReadFile(semanticPath)
-	if err != nil {
-		t.Fatalf("missing semantic fixture (run with -update-semantic to create): %v", err)
-	}
-	want := make(map[string]string)
-	if err := json.Unmarshal(data, &want); err != nil {
-		t.Fatalf("corrupt semantic fixture: %v", err)
-	}
-	for name, wh := range want {
-		if got[name] == "" {
-			t.Errorf("%s: fixture has a scenario the test no longer builds", name)
-			continue
-		}
-		if got[name] != wh {
-			t.Errorf("%s: observable behaviour diverged: got %s, fixture %s", name, got[name], wh)
-		}
-	}
-	for name := range got {
-		if _, ok := want[name]; !ok {
-			t.Errorf("%s: scenario missing from fixture; rerun with -update-semantic", name)
-		}
-	}
+	checkFixture(t, semanticPath, "-update-semantic", *updateSemantic, got, "observable behaviour")
 }
