@@ -23,6 +23,7 @@ import (
 	"muzha/internal/packet"
 	"muzha/internal/sim"
 	"muzha/internal/topo"
+	"muzha/internal/trace"
 )
 
 // Variant names a TCP congestion-control flavour.
@@ -511,22 +512,19 @@ type Config struct {
 	// stuck scenario cannot hang a whole batch.
 	Guards RunGuards
 
-	// Workers selects the engine. Zero (the default) runs the classic
-	// single-threaded engine. Any value >= 1 runs the spatial-domain
-	// decomposition: radios are partitioned into conservative
-	// interaction domains (connected components of the dist<=CSRange
-	// graph, with flow endpoints coupled and mobile nodes inflated to
-	// their whole mobility field) and each domain simulates as an
-	// independent sub-run on a pool of up to Workers goroutines. The
-	// decomposed output is identical at every Workers >= 1 — results
-	// and golden event-stream hashes do not depend on the width — so
-	// Workers is excluded from Hash(). Topologies that form a single
-	// domain (all the paper's chains and crosses) fall back to the
-	// classic engine and are bit-for-bit unchanged at any width.
+	// Workers is the execution width of one run. Every run partitions
+	// its radios into conservative interaction domains (connected
+	// components of the dist<=CSRange graph, with flow endpoints coupled
+	// and mobile nodes inflated to their whole mobility field), and each
+	// domain simulates as an independent sub-run; Workers bounds how
+	// many run at once. Zero and one both run one domain at a time.
+	// Results, packet traces and golden event-stream hashes do not
+	// depend on the width, so Workers is excluded from Hash().
+	// Topologies that form a single domain (all the paper's chains and
+	// crosses) run as one simulation whatever the width.
 	//
-	// In decomposed mode Progress may fire from worker goroutines
-	// (calls are serialized); PacketTrace forces the classic engine so
-	// trace interleaving stays exactly historical.
+	// On a multi-domain run Progress may fire from worker goroutines
+	// (calls are serialized).
 	Workers int
 
 	// PacketTrace, when non-nil, receives an NS-2-style packet trace:
@@ -562,15 +560,20 @@ type Config struct {
 	// txHook observes every frame a radio puts on the air, with the
 	// global node index and the transmit time. Unlike the (time, seq)
 	// stream it ignores scheduler bookkeeping, so it fingerprints
-	// observable behaviour only. The decomposed engine calls it from one
+	// observable behaviour only. A multi-domain run calls it from one
 	// goroutine per domain, never concurrently for the same node.
 	// Test-only, hence unexported.
 	txHook func(node int, at sim.Time, pkt *packet.Packet)
 
+	// traceHook receives the packet-trace events of one domain of a
+	// multi-domain run, in place of a PacketTrace writer; runDecomposed
+	// buffers them for the merged trace.
+	traceHook func(trace.Event)
+
 	// summaryTraces is the resolved TraceFlowLimit decision, computed
-	// once in Run against the global flow count so the classic and
-	// decomposed engines agree on it: buildSub's struct copy carries it
-	// into every domain, where the local flow count would differ.
+	// once in Run against the global flow count: buildSub's struct copy
+	// carries it into every domain, where the local flow count would
+	// differ.
 	summaryTraces bool
 }
 

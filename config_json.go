@@ -196,10 +196,8 @@ func (c *Config) UnmarshalJSON(b []byte) error {
 // Results are interchangeable; Seed is part of Config, hence part of
 // the hash. Observer fields (PacketTrace, Progress, Cancel) and guard
 // budgets do not affect a completed run's Result and are excluded.
-// Workers is excluded too: the decomposed engine's output is identical
-// at every width >= 1, and the daemon applies one engine mode
-// server-side (see muzhad -run-workers) so a cache never mixes classic
-// and decomposed results for multi-domain scenarios.
+// Workers is excluded too: it is an execution width, and a run's
+// Result is identical at every width.
 func (c Config) Hash() (string, error) {
 	c.Guards = RunGuards{}
 	c.Workers = 0

@@ -97,12 +97,11 @@ func goldenScenarios(t *testing.T) map[string]Config {
 	t.Logf("chaos scenario (seed 7): %s", desc)
 	scenarios["chaos-seed7"] = chaos
 
-	// Decomposed-engine scenarios (Workers >= 1): genuinely
-	// multi-domain topologies whose fixtures pin the merged event
-	// stream at width 1; TestParallelWidthInvariance replays them at
-	// widths 2/4/8 and must reproduce these exact hashes. The faulted
-	// variant exercises per-domain fault scoping, the mobility variant
-	// exercises footprint-inflated partitioning.
+	// Multi-domain scenarios: topologies whose fixtures pin the merged
+	// event stream; TestParallelWidthInvariance replays every golden
+	// scenario at widths 1/2/4/8 and must reproduce these exact hashes.
+	// The faulted variant exercises per-domain fault scoping, the
+	// mobility variant exercises footprint-inflated partitioning.
 	for name, cfg := range parallelGoldenScenarios(t) {
 		scenarios[name] = cfg
 	}
@@ -111,9 +110,9 @@ func goldenScenarios(t *testing.T) map[string]Config {
 }
 
 // parallelGoldenScenarios builds the multi-domain reference configs
-// shared by the golden fixture and the width-invariance tests. Every
-// config has Workers=1: the fixture hash is the decomposed engine's
-// canonical merged stream, which must not depend on the width.
+// shared by the golden fixture, the width-invariance and the
+// observer-invariance tests. The fixture hash is the canonical merged
+// stream, which must not depend on the width.
 func parallelGoldenScenarios(t *testing.T) map[string]Config {
 	t.Helper()
 	scenarios := make(map[string]Config)
@@ -127,7 +126,6 @@ func parallelGoldenScenarios(t *testing.T) map[string]Config {
 	cfg.Topology = islands
 	cfg.Duration = 3 * time.Second
 	cfg.Window = 8
-	cfg.Workers = 1
 	cfg.Flows = []Flow{
 		{Src: fe[0][0], Dst: fe[0][1], Variant: Muzha},
 		{Src: fe[1][0], Dst: fe[1][1], Variant: NewReno},

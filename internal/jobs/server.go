@@ -40,13 +40,6 @@ type ServerConfig struct {
 	// ProgressEvery is the progress snapshot period in engine events
 	// (default 65536).
 	ProgressEvery uint64
-	// RunWorkers sets every job's engine width (Config.Workers): zero
-	// runs the classic single-threaded engine, >= 1 the spatial-domain
-	// decomposition. It overrides whatever the submission carried —
-	// Config.Hash excludes Workers, so one server must run one engine
-	// mode or its result cache would mix classic and decomposed samples
-	// of multi-domain scenarios.
-	RunWorkers int
 	// Logf, when non-nil, receives one line per lifecycle event.
 	Logf func(format string, args ...any)
 	// CacheLimit bounds the result cache; least-recently-used results
@@ -226,12 +219,6 @@ func (s *Server) runFn(id string) func() (any, error) {
 		if (cfg.Guards == muzha.RunGuards{}) {
 			cfg.Guards = s.cfg.Guards
 		}
-		// The engine mode is a server policy, applied uniformly: results
-		// are cached by Config.Hash, which excludes Workers, so letting
-		// submissions pick their own engine would let classic and
-		// decomposed samples of the same multi-domain scenario share a
-		// cache entry.
-		cfg.Workers = s.cfg.RunWorkers
 		cfg.Cancel = s.cancel
 		cfg.ProgressEvery = s.cfg.ProgressEvery
 		cfg.Progress = func(u muzha.ProgressUpdate) {

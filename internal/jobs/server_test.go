@@ -124,6 +124,78 @@ func TestSubmitRunAndCacheHitByteIdentical(t *testing.T) {
 	}
 }
 
+// TestSubmissionWidthSharesCacheEntry: Config.Workers is only an
+// execution width, excluded from Hash, so two submissions of a
+// multi-domain config that differ only in Workers share one cache entry,
+// and its bytes equal a local run at any width.
+func TestSubmissionWidthSharesCacheEntry(t *testing.T) {
+	ctx := testCtx(t)
+	srv, cli := newTestServer(t, ServerConfig{})
+	// Two islands 2 km apart, far beyond carrier-sense range: two domains.
+	islands, err := muzha.GridIslandsTopology(2, 2, 2, 2000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fe := islands.FlowEndpoints()
+	cfg := muzha.DefaultConfig()
+	cfg.Topology = islands
+	cfg.Duration = 2 * time.Second
+	cfg.Seed = 7
+	cfg.Flows = []muzha.Flow{
+		{Src: fe[0][0], Dst: fe[0][1], Variant: muzha.Muzha},
+		{Src: fe[1][0], Dst: fe[1][1], Variant: muzha.NewReno},
+	}
+
+	cfg.Workers = 1
+	j1, err := cli.Submit(ctx, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if j1, err = cli.Wait(ctx, j1.ID, 10*time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	if j1.State != StateDone {
+		t.Fatalf("job ended %s [%s]: %s", j1.State, j1.Class, j1.Error)
+	}
+	cfg.Workers = 4
+	j2, err := cli.Submit(ctx, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !j2.Cached || j2.State != StateDone {
+		t.Fatalf("wider submission = state %s cached %v, want done from cache", j2.State, j2.Cached)
+	}
+	r1, err := cli.Result(ctx, j1.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r2, err := cli.Result(ctx, j2.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(r1, r2) {
+		t.Fatal("submissions differing only in Workers got different bytes")
+	}
+	if st := srv.Snapshot(); st.CacheEntries != 1 || st.CacheHits != 1 {
+		t.Fatalf("stats = %+v, want 1 cache entry / 1 hit", st)
+	}
+
+	for _, w := range []int{0, 2} {
+		cfg.Workers = w
+		res, err := muzha.Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := EncodeResult(res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(r1, want) {
+			t.Errorf("cached result differs from a local run at workers=%d", w)
+		}
+	}
+}
+
 func TestCrashRecoveryRequeuesAndMatchesUninterruptedRun(t *testing.T) {
 	ctx := testCtx(t)
 	dir := t.TempDir()

@@ -89,6 +89,12 @@ type Recorder interface {
 	Record(Event)
 }
 
+// RecorderFunc adapts a function to the Recorder interface.
+type RecorderFunc func(Event)
+
+// Record implements Recorder.
+func (f RecorderFunc) Record(e Event) { f(e) }
+
 // FromPacket fills the packet-derived fields of an event.
 func FromPacket(t sim.Time, node packet.NodeID, op Op, reason string, pkt *packet.Packet) Event {
 	e := Event{

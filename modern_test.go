@@ -71,7 +71,6 @@ func TestPacingWidthInvariance(t *testing.T) {
 	cfg.Topology = islands
 	cfg.Duration = 2 * time.Second
 	cfg.Window = 8
-	cfg.Workers = 1
 	cfg.Pacing = true
 	cfg.Flows = []Flow{
 		{Src: fe[0][0], Dst: fe[0][1], Variant: CUBIC},
@@ -87,7 +86,7 @@ func TestPacingWidthInvariance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, w := range []int{2, 4} {
+	for _, w := range []int{1, 2, 4} {
 		pcfg := cfg
 		pcfg.Workers = w
 		if got := goldenHash(t, pcfg); got != ref {

@@ -12,9 +12,10 @@ import (
 	"muzha/internal/sim"
 	"muzha/internal/stats"
 	"muzha/internal/topo"
+	"muzha/internal/trace"
 )
 
-// Spatial-domain decomposition: the parallel engine.
+// Spatial-domain decomposition: the one engine.
 //
 // The channel model is strictly local — no radio pair farther apart
 // than CSRange ever exchanges a frame, senses the other's carrier, or
@@ -22,30 +23,21 @@ import (
 // Connected components of the dist<=CSRange graph are therefore
 // causally independent for the entire run: the conservative lookahead
 // between them is unbounded, so no synchronization windows or barrier
-// rounds are needed at all. Each component becomes a complete
-// sub-simulation (own scheduler, channel, nodes, routing, invariant
-// checker) executing on a worker pool, and the results are merged
-// deterministically afterwards.
+// rounds are needed at all. Run always plans these domains. A
+// connected world is one domain and runs as a single simulation with
+// the run seed. Several domains each become a complete sub-simulation
+// (own scheduler, channel, nodes, routing, invariant checker) executing
+// on a worker pool, and the results are merged deterministically
+// afterwards.
 //
-// Determinism comes in two classes:
-//
-//   - Single-domain scenarios (every chain/cross/grid the paper uses)
-//     fall back to the classic engine and are bit-for-bit identical to
-//     Workers == 0 at any width.
-//   - Multi-domain scenarios produce output that is a pure function of
-//     (config, seed) and *independent of Workers*: per-domain seeds are
-//     derived by index, each domain's event stream is internally
-//     sequential, and every merge below iterates in domain order. The
-//     golden tests pin Workers=1 fixtures and replay them at widths
-//     2/4/8.
-//
-// What is intentionally different from the classic engine on
-// multi-domain inputs: each domain draws from its own seeded RNG
-// stream (one shared rand.Rand cannot be split without changing its
-// draw sequence), so multi-domain Workers>=1 results are a different —
-// equally valid — sample of the same scenario distribution than
-// Workers==0. The muzhad daemon therefore applies one engine mode
-// server-side for its whole cache (see -run-workers).
+// The output is a pure function of (config, seed) and independent of
+// Config.Workers, which is only an execution width: per-domain seeds
+// are derived by index, each domain's event stream is internally
+// sequential, and every merge below iterates in domain order.
+// Observers (the event hook, the packet trace, Progress) watch the
+// sub-runs without touching them, so attaching one never changes the
+// Result. Packet UIDs are unique within a domain only: every domain
+// numbers its packets from the same start.
 
 // subSeed derives the RNG seed of one domain from the run seed, via a
 // splitmix64 finalizer so neighboring (seed, domain) pairs decorrelate.
@@ -88,6 +80,29 @@ type subScenario struct {
 	nodes   []int // local index -> global node index (sorted)
 	flows   []int // local flow index -> global flow index
 	bgFlows []int // local background index -> global background index
+	// flowIDs maps a local packet flow ID (TCP flows, then background
+	// flows, from 1) to the global one run assigns; index 0 is unused.
+	flowIDs []int32
+}
+
+// globalEvent maps a domain-local trace event to the global node and
+// flow identifiers mergeResults reports. Broadcast addresses pass
+// through; UIDs stay domain-local.
+func (sc subScenario) globalEvent(e trace.Event) trace.Event {
+	e.Node = sc.globalNode(e.Node)
+	e.Src = sc.globalNode(e.Src)
+	e.Dst = sc.globalNode(e.Dst)
+	if e.Flow > 0 && int(e.Flow) < len(sc.flowIDs) {
+		e.Flow = sc.flowIDs[e.Flow]
+	}
+	return e
+}
+
+func (sc subScenario) globalNode(id packet.NodeID) packet.NodeID {
+	if id < 0 || int(id) >= len(sc.nodes) {
+		return id
+	}
+	return packet.NodeID(sc.nodes[id])
 }
 
 // buildSub constructs the sub-simulation of one domain. Faults are
@@ -109,7 +124,6 @@ func buildSub(cfg Config, domain int, nodes []int) subScenario {
 		pos[li] = tp.Positions[gi]
 	}
 	sub := cfg
-	sub.Workers = 0
 	sub.Seed = subSeed(cfg.Seed, domain)
 	sub.Topology = Topology{inner: &topo.Topology{
 		Name:      fmt.Sprintf("%s/domain-%d", tp.Name, domain),
@@ -140,6 +154,13 @@ func buildSub(cfg Config, domain int, nodes []int) subScenario {
 		b.Dst = local[b.Dst]
 		sub.Background = append(sub.Background, b)
 		sc.bgFlows = append(sc.bgFlows, gi)
+	}
+	sc.flowIDs = make([]int32, 1, 1+len(sc.flows)+len(sc.bgFlows))
+	for _, gi := range sc.flows {
+		sc.flowIDs = append(sc.flowIDs, int32(gi+1))
+	}
+	for _, gi := range sc.bgFlows {
+		sc.flowIDs = append(sc.flowIDs, int32(len(cfg.Flows)+gi+1))
 	}
 
 	sub.Mobility = nil
@@ -200,27 +221,26 @@ type subEvent struct {
 }
 
 // runDecomposed executes cfg as independent per-domain sub-simulations
-// on up to cfg.Workers goroutines and merges their results in domain
-// order, so the outcome is identical at every width >= 1.
-func runDecomposed(cfg Config) (*Result, error) {
-	// A packet trace must interleave exactly as the classic engine
-	// wrote it, and a single domain has nothing to decompose: both take
-	// the classic path, bit-for-bit.
-	domains := planDomains(cfg)
-	if len(domains) <= 1 || cfg.PacketTrace != nil {
-		return run(cfg)
-	}
-
+// on up to cfg.Workers goroutines (at least one) and merges their
+// results in domain order, so the outcome is identical at every width.
+func runDecomposed(cfg Config, domains [][]int) (*Result, error) {
 	subs := make([]subScenario, len(domains))
 	for d, nodes := range domains {
 		subs[d] = buildSub(cfg, d, nodes)
 	}
 
-	// Event-hook streams are buffered per domain and replayed merged
-	// after the run; only pay for that when a hook is installed.
-	var streams [][]subEvent
+	// Event-hook and packet-trace streams are buffered per domain and
+	// replayed merged after the run; only pay for one when it is
+	// attached.
+	var (
+		streams [][]subEvent
+		traces  [][]trace.Event
+	)
 	if cfg.eventHook != nil {
 		streams = make([][]subEvent, len(domains))
+	}
+	if cfg.PacketTrace != nil {
+		traces = make([][]trace.Event, len(domains))
 	}
 
 	// Progress aggregation: each domain bumps its own atomic counters;
@@ -249,10 +269,7 @@ func runDecomposed(cfg Config) (*Result, error) {
 	results := make([]*Result, len(domains))
 	errs := make([]error, len(domains))
 
-	workers := cfg.Workers
-	if workers > len(domains) {
-		workers = len(domains)
-	}
+	workers := min(max(cfg.Workers, 1), len(domains))
 	sem := make(chan struct{}, workers)
 	var wg sync.WaitGroup
 	for d := range subs {
@@ -267,6 +284,12 @@ func runDecomposed(cfg Config) (*Result, error) {
 			if streams != nil {
 				sub.eventHook = func(at sim.Time, seq uint64) {
 					streams[d] = append(streams[d], subEvent{at: at, seq: seq})
+				}
+			}
+			if traces != nil {
+				sc := subs[d]
+				sub.traceHook = func(e trace.Event) {
+					traces[d] = append(traces[d], sc.globalEvent(e))
 				}
 			}
 			if tx := cfg.txHook; tx != nil {
@@ -292,6 +315,16 @@ func runDecomposed(cfg Config) (*Result, error) {
 			errAll = append(errAll, fmt.Errorf("domain %d (nodes %v): %w", d, subs[d].nodes, err))
 		}
 	}
+	// The merged trace is written whatever the outcome, and a write
+	// error fails the run, as in run(): a truncated trace must never be
+	// mistaken for a complete one.
+	if traces != nil {
+		tw := trace.NewTextWriter(cfg.PacketTrace)
+		mergeStreams(traces, func(e trace.Event) sim.Time { return e.T }, tw.Record)
+		if tw.Err() != nil {
+			errAll = append(errAll, fmt.Errorf("muzha: packet trace: %w", tw.Err()))
+		}
+	}
 	if len(errAll) > 0 {
 		return nil, errors.Join(errAll...)
 	}
@@ -299,7 +332,7 @@ func runDecomposed(cfg Config) (*Result, error) {
 	res := mergeResults(cfg, subs, results)
 
 	if cfg.Progress != nil {
-		// Terminal snapshot mirroring the classic engine's: the full
+		// Terminal snapshot mirroring a single-domain run's: the full
 		// virtual time span and the total event count.
 		var maxTime time.Duration
 		for _, r := range results {
@@ -313,34 +346,35 @@ func runDecomposed(cfg Config) (*Result, error) {
 	}
 
 	if cfg.eventHook != nil {
-		replayMerged(cfg.eventHook, streams)
+		mergeStreams(streams, func(e subEvent) sim.Time { return e.at }, func(e subEvent) {
+			cfg.eventHook(e.at, e.seq)
+		})
 	}
 	return res, nil
 }
 
-// replayMerged feeds the buffered per-domain event streams to the hook
-// as one globally ordered stream: ascending fire time, ties broken by
-// domain index, order within a domain preserved. Each stream is
-// already time-sorted (a scheduler's execution times are monotone), so
-// this is a k-way merge.
-func replayMerged(hook func(sim.Time, uint64), streams [][]subEvent) {
+// mergeStreams feeds the buffered per-domain streams to emit as one
+// globally ordered stream: ascending time, ties broken by domain index,
+// order within a domain preserved. Each stream is already time-sorted
+// (a scheduler's clock is monotone), so this is a k-way merge.
+func mergeStreams[T any](streams [][]T, at func(T) sim.Time, emit func(T)) {
 	heads := make([]int, len(streams))
 	for {
 		best := -1
+		var bestAt sim.Time
 		for d, s := range streams {
 			if heads[d] >= len(s) {
 				continue
 			}
-			if best < 0 || s[heads[d]].at < streams[best][heads[best]].at {
-				best = d
+			if t := at(s[heads[d]]); best < 0 || t < bestAt {
+				best, bestAt = d, t
 			}
 		}
 		if best < 0 {
 			return
 		}
-		ev := streams[best][heads[best]]
+		emit(streams[best][heads[best]])
 		heads[best]++
-		hook(ev.at, ev.seq)
 	}
 }
 

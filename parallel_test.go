@@ -1,61 +1,42 @@
 package muzha
 
 import (
+	"bytes"
 	"fmt"
 	"reflect"
 	"runtime"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 )
 
-// Parallel-engine proof tests.
-//
-// Two determinism classes, both pinned here:
-//
-//   - Fallback identity: every single-domain scenario (all four
-//     pre-parallel golden fixtures) must be bit-for-bit identical to
-//     the classic engine at ANY worker width, because the decomposed
-//     engine detects the single domain and takes the classic path.
-//   - Width invariance: multi-domain scenarios must produce the same
-//     merged event stream and the same Result at every width >= 1 —
-//     worker scheduling must be unobservable.
+// Parallel-engine proof tests: Config.Workers is only an execution
+// width. Every golden scenario, single- or multi-domain, must produce
+// the same merged event stream, the same transmit streams and the same
+// Result at every width (0 and 1 both mean one domain at a time), and
+// attaching an observer must not change the Result either — worker
+// scheduling and observation must be unobservable.
 
 var testWidths = []int{1, 2, 4, 8}
 
-func TestParallelFallbackIdentical(t *testing.T) {
+func TestParallelWidthInvariance(t *testing.T) {
+	parallel := parallelGoldenScenarios(t)
 	for name, cfg := range goldenScenarios(t) {
-		if cfg.Workers != 0 {
-			continue // multi-domain scenarios are covered below
-		}
 		name, cfg := name, cfg
 		t.Run(name, func(t *testing.T) {
-			serial := goldenHash(t, cfg)
-			for _, w := range testWidths {
-				pcfg := cfg
-				pcfg.Workers = w
-				if got := goldenHash(t, pcfg); got != serial {
-					t.Errorf("workers=%d diverged from classic engine: %s vs %s", w, got, serial)
+			if _, ok := parallel[name]; ok {
+				if n := len(planDomains(cfg)); n < 2 {
+					t.Fatalf("scenario is not multi-domain (%d domains); the test would prove nothing", n)
 				}
 			}
-		})
-	}
-}
-
-func TestParallelWidthInvariance(t *testing.T) {
-	for name, cfg := range parallelGoldenScenarios(t) {
-		name, cfg := name, cfg
-		t.Run(name, func(t *testing.T) {
-			if n := len(planDomains(cfg)); n < 2 {
-				t.Fatalf("scenario is not multi-domain (%d domains); the test would prove nothing", n)
-			}
-			cfg.Workers = 1
 			ref := goldenHash(t, cfg)
 			refSem := semanticHash(t, cfg)
 			refRes, err := Run(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, w := range testWidths[1:] {
+			for _, w := range testWidths {
 				pcfg := cfg
 				pcfg.Workers = w
 				if got := goldenHash(t, pcfg); got != ref {
@@ -76,6 +57,112 @@ func TestParallelWidthInvariance(t *testing.T) {
 	}
 }
 
+// TestParallelObserverInvariance pins the observers of a multi-domain
+// run: a PacketTrace or Progress callback must leave the Result equal to
+// a bare run's, the merged trace must be byte-identical at every width,
+// time-ordered and phrased in global node and flow identifiers, and a
+// failing trace writer must fail the run as it does on one domain.
+func TestParallelObserverInvariance(t *testing.T) {
+	for name, cfg := range parallelGoldenScenarios(t) {
+		name, cfg := name, cfg
+		t.Run(name, func(t *testing.T) {
+			if n := len(planDomains(cfg)); n < 2 {
+				t.Fatalf("scenario is not multi-domain (%d domains); the test would prove nothing", n)
+			}
+			bare, err := Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			var ref string
+			for _, w := range testWidths {
+				var buf bytes.Buffer
+				tcfg := cfg
+				tcfg.Workers = w
+				tcfg.PacketTrace = &buf
+				res, err := Run(tcfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(res, bare) {
+					t.Errorf("workers=%d: a packet trace changed the Result", w)
+				}
+				if w == testWidths[0] {
+					ref = buf.String()
+					checkMergedTrace(t, cfg, ref)
+				} else if buf.String() != ref {
+					t.Errorf("workers=%d changed the merged trace", w)
+				}
+			}
+
+			pcfg := cfg
+			pcfg.Progress = func(ProgressUpdate) {}
+			pcfg.ProgressEvery = 1 << 10
+			res, err := Run(pcfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(res, bare) {
+				t.Error("a Progress callback changed the Result")
+			}
+
+			fcfg := cfg
+			fcfg.PacketTrace = failingWriter{}
+			res, err = Run(fcfg)
+			if res != nil {
+				t.Error("a Result escaped a run whose packet trace failed")
+			}
+			if err == nil || !strings.Contains(err.Error(), "packet trace") || !strings.Contains(err.Error(), "disk full") {
+				t.Errorf("trace error not surfaced: %v", err)
+			}
+		})
+	}
+}
+
+// checkMergedTrace requires the trace lines to be time-ordered and each
+// flow's transport sends to name its global endpoints: data leaves the
+// flow's source, ACKs leave its destination.
+func checkMergedTrace(t *testing.T, cfg Config, tr string) {
+	t.Helper()
+	sends := make([]int, len(cfg.Flows))
+	prev := -1.0
+	for _, line := range strings.Split(strings.TrimSuffix(tr, "\n"), "\n") {
+		fields := strings.Fields(line)
+		at, err := strconv.ParseFloat(fields[1], 64)
+		if err != nil {
+			t.Fatalf("bad trace line %q: %v", line, err)
+		}
+		if at < prev {
+			t.Fatalf("trace goes back in time at %q", line)
+		}
+		prev = at
+		if fields[0] != "s" || !strings.HasPrefix(fields[5], "f") {
+			continue
+		}
+		id, err := strconv.Atoi(fields[5][1:])
+		if err != nil || id < 1 || id > len(cfg.Flows) {
+			t.Fatalf("send of an unknown flow: %q", line)
+		}
+		f := cfg.Flows[id-1]
+		src, dst := f.Src, f.Dst
+		if strings.HasPrefix(fields[6], "ack=") {
+			src, dst = dst, src
+		}
+		if want := fmt.Sprintf("_%d_", src); fields[2] != want {
+			t.Fatalf("flow %d send at node %s, want %s: %q", id, fields[2], want, line)
+		}
+		if want := fmt.Sprintf("n%d->n%d", src, dst); fields[7] != want {
+			t.Fatalf("flow %d send addressed %s, want %s: %q", id, fields[7], want, line)
+		}
+		sends[id-1]++
+	}
+	for i, n := range sends {
+		if n == 0 {
+			t.Errorf("flow %d has no send lines in the merged trace", i+1)
+		}
+	}
+}
+
 // TestParallelMobilityRepartition proves the conservative footprint
 // keeps re-partitioning under SetPosition sound: a mobile node roams
 // its whole field across the run (many SetPosition epochs), the static
@@ -92,7 +179,6 @@ func TestParallelMobilityRepartition(t *testing.T) {
 	cfg.Duration = 4 * time.Second
 	cfg.Window = 8
 	cfg.Seed = 9
-	cfg.Workers = 1
 	cfg.Flows = []Flow{
 		{Src: fe[0][0], Dst: fe[0][1], Variant: Muzha},
 		{Src: fe[1][0], Dst: fe[1][1], Variant: Muzha},
@@ -110,7 +196,7 @@ func TestParallelMobilityRepartition(t *testing.T) {
 		t.Fatalf("expected 2 domains, got %v", domains)
 	}
 	ref := goldenHash(t, cfg)
-	for _, w := range testWidths[1:] {
+	for _, w := range testWidths {
 		pcfg := cfg
 		pcfg.Workers = w
 		if got := goldenHash(t, pcfg); got != ref {
@@ -147,8 +233,8 @@ func TestParallelValidatesConfig(t *testing.T) {
 	}
 }
 
-// TestParallelProgressAndCancel exercises the observer plumbing of the
-// decomposed path: progress snapshots arrive serialized with a
+// TestParallelProgressAndCancel exercises the observer plumbing of a
+// multi-domain run: progress snapshots arrive serialized with a
 // terminal snapshot carrying the total event count, and a pre-closed
 // Cancel aborts every domain.
 func TestParallelProgressAndCancel(t *testing.T) {
@@ -175,7 +261,7 @@ func TestParallelProgressAndCancel(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(updates) == 0 {
-		t.Fatal("no progress updates from decomposed run")
+		t.Fatal("no progress updates from multi-domain run")
 	}
 	last := updates[len(updates)-1]
 	if last.Events != res.Events {
@@ -191,7 +277,7 @@ func TestParallelProgressAndCancel(t *testing.T) {
 	cfg.Cancel = cancel
 	cfg.Guards = RunGuards{LivelockWindow: 1 << 20}
 	if _, err := Run(cfg); err == nil {
-		t.Fatal("pre-closed Cancel must abort the decomposed run")
+		t.Fatal("pre-closed Cancel must abort the multi-domain run")
 	}
 }
 

@@ -54,32 +54,33 @@ func chainGuards(fns []func() error) func() error {
 // and progress; a tripped guard aborts cleanly with ErrDeadline,
 // ErrEventBudget or ErrLivelock.
 //
-// Config.Workers zero runs the classic single-threaded engine; any
-// positive value runs the spatial-domain decomposition (see
-// Config.Workers and runDecomposed), whose output is identical at
-// every width.
+// Run always plans the run's interaction domains (see planDomains): a
+// connected world is one domain and runs as one simulation; several
+// domains run as independent sub-simulations on up to Config.Workers
+// goroutines (see runDecomposed). The output does not depend on the
+// width.
 func Run(cfg Config) (*Result, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
 	// Resolve the summary-only trace decision once, against the global
-	// flow count: the decomposed engine splits flows across domains, so
-	// deciding per sub-run would disagree with the classic engine.
+	// flow count: a multi-domain run splits flows across domains, so
+	// deciding per sub-run would depend on the partition.
 	limit := cfg.TraceFlowLimit
 	if limit == 0 {
 		limit = DefaultTraceFlowLimit
 	}
 	cfg.summaryTraces = limit > 0 && len(cfg.Flows) > limit
-	if cfg.Workers > 0 {
-		return runDecomposed(cfg)
+	if domains := planDomains(cfg); len(domains) > 1 {
+		return runDecomposed(cfg, domains)
 	}
 	return run(cfg)
 }
 
-// run is the classic single-threaded engine. It assumes cfg has been
-// validated — the decomposed engine calls it with per-domain
-// sub-configs that are deliberately looser than user configs (a domain
-// may carry zero flows).
+// run simulates one domain on one goroutine. It assumes cfg has been
+// validated — runDecomposed calls it with per-domain sub-configs that
+// are deliberately looser than user configs (a domain may carry zero
+// flows).
 func run(cfg Config) (res *Result, err error) {
 	s := sim.New(cfg.Seed)
 	hook := cfg.eventHook
@@ -169,6 +170,9 @@ func run(cfg Config) (res *Result, err error) {
 	if cfg.PacketTrace != nil {
 		traceWriter = trace.NewTextWriter(cfg.PacketTrace)
 		nodeCfg.Trace = traceWriter
+	}
+	if cfg.traceHook != nil {
+		nodeCfg.Trace = trace.RecorderFunc(cfg.traceHook)
 	}
 	if cfg.RouterAssist {
 		p := cfg.DRAI.toCore()

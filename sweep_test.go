@@ -241,6 +241,44 @@ func TestChaosSweepJournalResume(t *testing.T) {
 	}
 }
 
+// TestSweepJournalIgnoresWidth: SweepOptions.Workers is only an
+// execution width, so a sweep journaled at one width is resumed in full
+// by the same sweep at another, with identical rows. Chaos seeds 205
+// and 331 generate multi-domain scenarios, where a width-dependent
+// engine would show.
+func TestSweepJournalIgnoresWidth(t *testing.T) {
+	seeds := []int64{205, 331}
+	for _, seed := range seeds {
+		cfg, _, err := ChaosScenario(seed, time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := len(planDomains(cfg)); n < 2 {
+			t.Fatalf("chaos seed %d is not multi-domain (%d domains); the test would prove nothing", seed, n)
+		}
+	}
+	journal := filepath.Join(t.TempDir(), "sweep.jsonl")
+	sweep := func(seed int64, workers int) ChaosRun {
+		t.Helper()
+		runs, err := ChaosSweep(ChaosOptions{Seed: seed, Runs: 1, Duration: time.Second,
+			Sweep: SweepOptions{Journal: journal, Workers: workers}})
+		if err != nil || runs[0].Result == nil {
+			t.Fatalf("seed %d at workers=%d: %v", seed, workers, err)
+		}
+		return runs[0]
+	}
+	for _, seed := range seeds {
+		first := sweep(seed, 2)
+		again := sweep(seed, 0)
+		if first.Resumed || !again.Resumed {
+			t.Errorf("seed %d: resumed %v then %v, want false then true", seed, first.Resumed, again.Resumed)
+		}
+		if !reflect.DeepEqual(again.Result, first.Result) {
+			t.Errorf("seed %d: the row resumed at workers=0 differs from the one run at workers=2", seed)
+		}
+	}
+}
+
 // failingWriter rejects every write, simulating a full disk under a
 // packet trace.
 type failingWriter struct{}
