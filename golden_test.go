@@ -98,8 +98,9 @@ func goldenScenarios(t *testing.T) map[string]Config {
 	scenarios["chaos-seed7"] = chaos
 
 	// Multi-domain scenarios: topologies whose fixtures pin the merged
-	// event stream; TestParallelWidthInvariance replays every golden
-	// scenario at widths 1/2/4/8 and must reproduce these exact hashes.
+	// event stream; TestParallelFallbackIdentical and
+	// TestParallelWidthInvariance replay every golden scenario at widths
+	// 1/2/4/8 and must reproduce these exact hashes.
 	// The faulted variant exercises per-domain fault scoping, the
 	// mobility variant exercises footprint-inflated partitioning.
 	for name, cfg := range parallelGoldenScenarios(t) {

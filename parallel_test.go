@@ -16,44 +16,72 @@ import (
 // the same merged event stream, the same transmit streams and the same
 // Result at every width (0 and 1 both mean one domain at a time), and
 // attaching an observer must not change the Result either — worker
-// scheduling and observation must be unobservable.
+// scheduling and observation must be unobservable. Between them
+// TestParallelFallbackIdentical (the connected goldens) and
+// TestParallelWidthInvariance (the multi-domain goldens) replay all
+// seven golden scenarios with the Workers=0 run as the reference.
 
 var testWidths = []int{1, 2, 4, 8}
 
-func TestParallelWidthInvariance(t *testing.T) {
+// TestParallelFallbackIdentical pins the connected (single-domain)
+// goldens: the default width 0 and every explicit width run the one
+// domain identically.
+func TestParallelFallbackIdentical(t *testing.T) {
 	parallel := parallelGoldenScenarios(t)
 	for name, cfg := range goldenScenarios(t) {
+		if _, ok := parallel[name]; ok {
+			continue // multi-domain scenarios: TestParallelWidthInvariance
+		}
 		name, cfg := name, cfg
 		t.Run(name, func(t *testing.T) {
-			if _, ok := parallel[name]; ok {
-				if n := len(planDomains(cfg)); n < 2 {
-					t.Fatalf("scenario is not multi-domain (%d domains); the test would prove nothing", n)
-				}
+			if n := len(planDomains(cfg)); n != 1 {
+				t.Fatalf("scenario is not single-domain (%d domains)", n)
 			}
-			ref := goldenHash(t, cfg)
-			refSem := semanticHash(t, cfg)
-			refRes, err := Run(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, w := range testWidths {
-				pcfg := cfg
-				pcfg.Workers = w
-				if got := goldenHash(t, pcfg); got != ref {
-					t.Errorf("workers=%d changed the merged event stream: %s vs %s", w, got, ref)
-				}
-				if got := semanticHash(t, pcfg); got != refSem {
-					t.Errorf("workers=%d changed the transmit streams: %s vs %s", w, got, refSem)
-				}
-				res, err := Run(pcfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(res, refRes) {
-					t.Errorf("workers=%d changed the Result", w)
-				}
-			}
+			checkWidthInvariance(t, cfg)
 		})
+	}
+}
+
+// TestParallelWidthInvariance pins the multi-domain goldens: the
+// domains merge to the same streams and Result at every width.
+func TestParallelWidthInvariance(t *testing.T) {
+	for name, cfg := range parallelGoldenScenarios(t) {
+		name, cfg := name, cfg
+		t.Run(name, func(t *testing.T) {
+			if n := len(planDomains(cfg)); n < 2 {
+				t.Fatalf("scenario is not multi-domain (%d domains); the test would prove nothing", n)
+			}
+			checkWidthInvariance(t, cfg)
+		})
+	}
+}
+
+// checkWidthInvariance compares cfg as given (Workers=0) with every
+// width in testWidths: merged event hash, transmit hash and Result.
+func checkWidthInvariance(t *testing.T, cfg Config) {
+	t.Helper()
+	ref := goldenHash(t, cfg)
+	refSem := semanticHash(t, cfg)
+	refRes, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range testWidths {
+		pcfg := cfg
+		pcfg.Workers = w
+		if got := goldenHash(t, pcfg); got != ref {
+			t.Errorf("workers=%d changed the merged event stream: %s vs %s", w, got, ref)
+		}
+		if got := semanticHash(t, pcfg); got != refSem {
+			t.Errorf("workers=%d changed the transmit streams: %s vs %s", w, got, refSem)
+		}
+		res, err := Run(pcfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(res, refRes) {
+			t.Errorf("workers=%d changed the Result", w)
+		}
 	}
 }
 
