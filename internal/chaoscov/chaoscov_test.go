@@ -117,6 +117,57 @@ func TestCorpusPersistAndResume(t *testing.T) {
 	}
 }
 
+// TestReadInfoIsReadOnly: the stats read of a corpus never creates the
+// file and never repairs a torn tail a running loop may be about to
+// finish.
+func TestReadInfoIsReadOnly(t *testing.T) {
+	dir := t.TempDir()
+	missing := filepath.Join(dir, "missing.jsonl")
+	info, err := ReadInfo(missing)
+	if err != nil || info != (Info{}) {
+		t.Fatalf("missing corpus: info=%+v err=%v, want zero", info, err)
+	}
+	if _, err := os.Stat(missing); !os.IsNotExist(err) {
+		t.Fatalf("ReadInfo created the corpus file: %v", err)
+	}
+
+	path := filepath.Join(dir, "corpus.jsonl")
+	c, err := OpenCorpus(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Add(specFixture(1), -1, []string{"a"}, "")
+	c.Add(specFixture(2), 0, []string{"a", "b"}, "panic")
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.WriteString(`{"id": 2, "spec": {"seed`)
+	f.Close()
+	before, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	info, err = ReadInfo(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := (Info{Entries: 2, Sometimes: 2, Classes: 1, Failures: 1}); info != want {
+		t.Fatalf("info = %+v, want %+v", info, want)
+	}
+	after, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(after) != string(before) {
+		t.Fatalf("ReadInfo rewrote the corpus: %d -> %d bytes", len(before), len(after))
+	}
+}
+
 // loopGuards bounds test runs tightly so a pathological mutant cannot
 // stall the suite.
 var loopGuards = muzha.RunGuards{WallClock: time.Minute, MaxEvents: 20_000_000, LivelockWindow: 5_000_000}

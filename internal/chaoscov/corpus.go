@@ -25,11 +25,10 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"os"
 	"sort"
 	"strings"
 
-	"muzha/internal/harness"
+	"muzha/internal/jsonl"
 	"muzha/internal/scenario"
 )
 
@@ -75,11 +74,9 @@ type Entry struct {
 // loop is sequential by design (each run's coverage steers the next).
 type Corpus struct {
 	entries []Entry
-	bySig   map[string]int  // signature -> entry ID
-	seen    map[string]bool // global coverage elements
-	f       *os.File
-	err     error
-	skipped int
+	bySig   map[string]int    // signature -> entry ID
+	seen    map[string]bool   // global coverage elements
+	log     *jsonl.Log[Entry] // nil when the corpus is in memory only
 }
 
 // OpenCorpus opens (creating if absent) the corpus journal at path
@@ -87,31 +84,31 @@ type Corpus struct {
 // memory only. A truncated final line — a loop killed mid-append — is
 // skipped, never fatal.
 func OpenCorpus(path string) (*Corpus, error) {
-	c := &Corpus{bySig: make(map[string]int), seen: make(map[string]bool)}
+	c := newCorpus()
 	if path == "" {
 		return c, nil
 	}
-	f, skipped, err := harness.OpenJSONL(path, func(line []byte) bool {
-		var e Entry
-		if err := json.Unmarshal(line, &e); err != nil || e.Sig == "" || len(e.Spec) == 0 {
-			return false
-		}
-		c.absorb(e)
-		return true
-	})
+	log, err := jsonl.Open(path, c.absorb)
 	if err != nil {
 		return nil, fmt.Errorf("chaoscov: open corpus: %w", err)
 	}
-	c.f, c.skipped = f, skipped
+	c.log = log
 	return c, nil
+}
+
+func newCorpus() *Corpus {
+	return &Corpus{bySig: make(map[string]int), seen: make(map[string]bool)}
 }
 
 // absorb folds one loaded entry into the in-memory state, re-deriving
 // IDs and the seen set so a hand-edited or merged corpus file stays
-// coherent.
-func (c *Corpus) absorb(e Entry) {
+// coherent. It rejects an entry without a signature or spec.
+func (c *Corpus) absorb(e Entry) bool {
+	if e.Sig == "" || len(e.Spec) == 0 {
+		return false
+	}
 	if _, dup := c.bySig[e.Sig]; dup {
-		return
+		return true
 	}
 	e.ID = len(c.entries)
 	c.bySig[e.Sig] = e.ID
@@ -119,6 +116,7 @@ func (c *Corpus) absorb(e Entry) {
 		c.seen[el] = true
 	}
 	c.entries = append(c.entries, e)
+	return true
 }
 
 func (e Entry) elements() []string {
@@ -163,29 +161,8 @@ func (c *Corpus) Add(spec scenario.Spec, parent int, coverage []string, class st
 	}
 	c.bySig[sig] = e.ID
 	c.entries = append(c.entries, e)
-	c.append(e)
+	c.log.Append(e)
 	return e, true, nil
-}
-
-// append journals one entry; the first write error latches like the
-// sweep journal's — the loop must not die on corpus I/O.
-func (c *Corpus) append(e Entry) {
-	if c.f == nil {
-		return
-	}
-	b, err := json.Marshal(e)
-	if err != nil {
-		if c.err == nil {
-			c.err = fmt.Errorf("chaoscov: marshal corpus entry %d: %w", e.ID, err)
-		}
-		return
-	}
-	if c.err != nil {
-		return
-	}
-	if _, err := c.f.Write(append(b, '\n')); err != nil {
-		c.err = fmt.Errorf("chaoscov: write corpus: %w", err)
-	}
 }
 
 // Len reports the number of corpus entries.
@@ -244,28 +221,18 @@ func (c *Corpus) Frontier() []int {
 }
 
 // Skipped reports how many unparseable journal lines the load dropped.
-func (c *Corpus) Skipped() int { return c.skipped }
+func (c *Corpus) Skipped() int { return c.log.Skipped() }
 
 // Err returns the first latched journal write error.
-func (c *Corpus) Err() error { return c.err }
+func (c *Corpus) Err() error { return c.log.Err() }
 
-// Close flushes and closes the journal, surfacing any latched write
-// error.
-func (c *Corpus) Close() error {
-	if c.f == nil {
-		return c.err
-	}
-	cerr := c.f.Close()
-	c.f = nil
-	if c.err != nil {
-		return c.err
-	}
-	return cerr
-}
+// Close closes the journal, surfacing any latched write error.
+func (c *Corpus) Close() error { return c.log.Close() }
 
 // Info summarizes a corpus file for reporting (the muzhad /v1/stats
 // chaos block). It reads the journal fresh on every call, tolerating
-// a concurrently appending loop the same way resume does.
+// a concurrently appending loop the same way resume does, but never
+// creates or repairs the file.
 type Info struct {
 	// Entries is the number of distinct-coverage corpus entries.
 	Entries int `json:"entries"`
@@ -277,13 +244,13 @@ type Info struct {
 	Failures int `json:"failures"`
 }
 
-// ReadInfo summarizes the corpus journal at path.
+// ReadInfo summarizes the corpus journal at path. A missing file is an
+// empty corpus.
 func ReadInfo(path string) (Info, error) {
-	c, err := OpenCorpus(path)
-	if err != nil {
-		return Info{}, err
+	c := newCorpus()
+	if _, err := jsonl.Read(path, c.absorb); err != nil {
+		return Info{}, fmt.Errorf("chaoscov: read corpus: %w", err)
 	}
-	defer c.Close()
 	info := Info{
 		Entries:   c.Len(),
 		Sometimes: len(c.SometimesCoverage()),

@@ -3,34 +3,38 @@ package harness
 import (
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
 )
 
+// TestScanJSONL: the journal load skips blank lines silently and
+// counts a kill-mid-write residue line as skipped, never fatal.
 func TestScanJSONL(t *testing.T) {
 	input := strings.Join([]string{
-		`{"a":1}`,
+		`{"key":"a","ok":true}`,
 		``, // blank lines are skipped silently
-		`{"b":2}`,
+		`{"key":"b","ok":true}`,
 		`{"trunc`, // kill-mid-write residue: rejected, counted, not fatal
 	}, "\n")
-	var got []string
-	skipped, _, _, err := scanJSONL(strings.NewReader(input), func(line []byte) bool {
-		if !strings.HasSuffix(string(line), "}") {
-			return false
-		}
-		got = append(got, string(line))
-		return true
-	})
+	path := filepath.Join(t.TempDir(), "sweep.jsonl")
+	if err := os.WriteFile(path, []byte(input), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	j, err := OpenJournal(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if skipped != 1 {
-		t.Fatalf("skipped = %d, want 1", skipped)
+	defer j.Close()
+	if j.Skipped() != 1 {
+		t.Fatalf("skipped = %d, want 1", j.Skipped())
 	}
-	if len(got) != 2 || got[0] != `{"a":1}` || got[1] != `{"b":2}` {
-		t.Fatalf("lines = %v", got)
+	_, okA := j.Lookup("a")
+	_, okB := j.Lookup("b")
+	if j.Len() != 2 || !okA || !okB {
+		t.Fatalf("loaded %d entries (a=%v b=%v), want a and b", j.Len(), okA, okB)
 	}
 }
 

@@ -121,3 +121,51 @@ func TestCacheUnboundedKeepsEverything(t *testing.T) {
 		t.Fatalf("unbounded cache reports evictions: %+v", st)
 	}
 }
+
+// TestCachePutAfterCompactionSurvivesReopen: the compaction at open
+// swaps the journal's file handle, so a Put after it must land in the
+// compacted file, not the one it replaced.
+func TestCachePutAfterCompactionSurvivesReopen(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "cache.jsonl")
+	c := openTestCache(t, path, CacheLimit{})
+	c.Put("a", val(1))
+	c.Put("a", val(1)) // superseded line: the next open compacts
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	r := openTestCache(t, path, CacheLimit{})
+	r.Put("b", val(2))
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	r2 := openTestCache(t, path, CacheLimit{})
+	for _, h := range []string{"a", "b"} {
+		if _, ok := r2.Get(h); !ok {
+			t.Fatalf("entry %s lost across the compacting reopen", h)
+		}
+	}
+	if r2.Len() != 2 || r2.Skipped() != 0 {
+		t.Fatalf("reopened %d entries, %d skipped; want 2, 0", r2.Len(), r2.Skipped())
+	}
+}
+
+// TestServerLogsCacheSkippedLines: NewServer reports the unparseable
+// lines the cache load dropped, as it does for the store.
+func TestServerLogsCacheSkippedLines(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "cache.jsonl"), []byte("garbage\n{\"key\":\"h\",\"ok\":tr"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var logs []string
+	newTestServer(t, ServerConfig{DataDir: dir, Logf: func(format string, args ...any) {
+		logs = append(logs, fmt.Sprintf(format, args...))
+	}})
+	for _, l := range logs {
+		if l == "jobs: cache journal: skipped 2 unparseable line(s)" {
+			return
+		}
+	}
+	t.Fatalf("no cache skip count in the server log: %q", logs)
+}

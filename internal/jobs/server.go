@@ -158,6 +158,9 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	if n := store.Skipped(); n > 0 {
 		cfg.Logf("jobs: store journal: skipped %d unparseable line(s)", n)
 	}
+	if n := cache.Skipped(); n > 0 {
+		cfg.Logf("jobs: cache journal: skipped %d unparseable line(s)", n)
+	}
 	return s, nil
 }
 

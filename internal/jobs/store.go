@@ -3,45 +3,41 @@ package jobs
 import (
 	"encoding/json"
 	"fmt"
-	"os"
 	"strconv"
 	"strings"
 	"sync"
 
-	"muzha/internal/harness"
+	"muzha/internal/jsonl"
 )
 
 // Store is the daemon's file-backed job table: an append-only JSONL
 // journal of Job snapshots, one line per state transition, last
-// snapshot wins. Opening a store replays the journal with the harness's
-// truncated-line-tolerant scanner, so a SIGKILL mid-write costs at most
-// the half-written line; jobs whose last snapshot was queued or running
-// are handed back as Requeued() for the daemon to re-run.
+// snapshot wins. Opening a store replays the journal, which tolerates a
+// truncated final line (see package jsonl), so a SIGKILL mid-write
+// costs at most the half-written line; jobs whose last snapshot was
+// queued or running are handed back as Requeued() for the daemon to
+// re-run.
 type Store struct {
 	mu       sync.Mutex
-	f        *os.File
+	log      *jsonl.Log[Job]
 	jobs     map[string]*Job
 	order    []string // IDs by first appearance, i.e. submission order
 	requeued []string
 	nextSeq  uint64
-	skipped  int
-	err      error // first journal write error, latched
 }
 
 // OpenStore opens (creating if absent) the job journal at path and
 // replays it.
 func OpenStore(path string) (*Store, error) {
 	s := &Store{jobs: make(map[string]*Job)}
-	f, skipped, err := harness.OpenJSONL(path, func(line []byte) bool {
-		var j Job
-		if err := json.Unmarshal(line, &j); err != nil || j.ID == "" {
+	log, err := jsonl.Open(path, func(j Job) bool {
+		if j.ID == "" {
 			return false
 		}
 		if _, seen := s.jobs[j.ID]; !seen {
 			s.order = append(s.order, j.ID)
 		}
-		cp := j
-		s.jobs[j.ID] = &cp
+		s.jobs[j.ID] = &j
 		if seq, ok := seqOf(j.ID); ok && seq >= s.nextSeq {
 			s.nextSeq = seq + 1
 		}
@@ -50,7 +46,7 @@ func OpenStore(path string) (*Store, error) {
 	if err != nil {
 		return nil, fmt.Errorf("jobs: open store: %w", err)
 	}
-	s.f, s.skipped = f, skipped
+	s.log = log
 	// Interrupted work — anything not terminal — goes back to the queue.
 	// The requeue is journaled so the file reflects what the daemon will
 	// actually do, even if it is killed again before the job starts.
@@ -61,7 +57,7 @@ func OpenStore(path string) (*Store, error) {
 		}
 		j.State = StateQueued
 		j.Progress = Progress{}
-		s.appendLocked(*j)
+		s.log.Append(*j)
 		s.requeued = append(s.requeued, id)
 	}
 	return s, nil
@@ -86,11 +82,7 @@ func (s *Store) Requeued() []string {
 }
 
 // Skipped reports how many unparseable journal lines open dropped.
-func (s *Store) Skipped() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.skipped
-}
+func (s *Store) Skipped() int { return s.log.Skipped() }
 
 // NewJob creates and journals a queued job for the given config hash,
 // client and canonical config bytes, returning a copy.
@@ -111,7 +103,7 @@ func (s *Store) NewJob(hash, client string, cfg json.RawMessage) Job {
 	s.nextSeq++
 	s.jobs[j.ID] = j
 	s.order = append(s.order, j.ID)
-	s.appendLocked(*j)
+	s.log.Append(*j)
 	return *j
 }
 
@@ -147,7 +139,7 @@ func (s *Store) Transition(id string, mutate func(*Job)) (Job, bool) {
 		return Job{}, false
 	}
 	mutate(j)
-	s.appendLocked(*j)
+	s.log.Append(*j)
 	return *j, true
 }
 
@@ -163,40 +155,10 @@ func (s *Store) SetProgress(id string, p Progress) {
 	}
 }
 
-// appendLocked journals one snapshot. The first write error latches —
-// the daemon must not die on journal I/O — and surfaces via Err and
-// Close.
-func (s *Store) appendLocked(j Job) {
-	b, err := json.Marshal(j)
-	if err != nil {
-		if s.err == nil {
-			s.err = fmt.Errorf("jobs: marshal snapshot %q: %w", j.ID, err)
-		}
-		return
-	}
-	if s.err != nil {
-		return
-	}
-	if _, err := s.f.Write(append(b, '\n')); err != nil {
-		s.err = fmt.Errorf("jobs: write store: %w", err)
-	}
-}
-
-// Err returns the first latched journal write error.
-func (s *Store) Err() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.err
-}
-
 // Close closes the journal, returning any latched write error so a
 // truncated journal is never mistaken for a healthy one.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	cerr := s.f.Close()
-	if s.err != nil {
-		return s.err
-	}
-	return cerr
+	return s.log.Close()
 }
