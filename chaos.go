@@ -21,7 +21,7 @@ type ChaosOptions struct {
 	// Duration is the simulated time per scenario (default 3s).
 	Duration time.Duration
 	// Verify re-runs each scenario and compares full Results (default
-	// off; the muzhasim -chaos mode turns it on).
+	// off; `muzha chaos` turns it on).
 	Verify bool
 	// Sweep supervises the sweep: worker parallelism, per-run guards,
 	// and the resumable journal. The zero value runs serial and

@@ -15,7 +15,7 @@ import (
 
 // This file gives Config a stable wire form: canonical JSON (sorted
 // keys, explicit defaults, numbers verbatim) plus a content hash over
-// it. The encoding is what a remote client ships to the muzhad daemon,
+// it. The encoding is what a remote client ships to the `muzha serve` daemon,
 // and the hash is the daemon's result-cache key — two submissions with
 // the same Hash describe the same simulation and may share a Result.
 //
@@ -191,7 +191,7 @@ func (c *Config) UnmarshalJSON(b []byte) error {
 
 // Hash returns the content hash identifying this scenario: the SHA-256
 // of the canonical JSON encoding with Guards and Workers zeroed, as
-// lowercase hex. It is THE result-cache key of the muzhad daemon —
+// lowercase hex. It is THE result-cache key of the `muzha serve` daemon —
 // identical (config, seed) submissions hash identically, so their
 // Results are interchangeable; Seed is part of Config, hence part of
 // the hash. Observer fields (PacketTrace, Progress, Cancel) and guard

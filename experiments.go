@@ -8,7 +8,7 @@ import (
 // This file packages the paper's Chapter 5 experiments as reusable
 // drivers. Each function reproduces one table/figure family and returns
 // the rows the paper plots; the bench harness (bench_test.go) and the CLI
-// (cmd/muzhasim) are thin wrappers around these.
+// (cmd/muzha) are thin wrappers around these.
 //
 // Every driver executes its per-seed runs through the supervised worker
 // pool (see SweepOptions): pass Parallel to fan the runs across cores,

@@ -229,7 +229,7 @@ func (c *Corpus) Err() error { return c.log.Err() }
 // Close closes the journal, surfacing any latched write error.
 func (c *Corpus) Close() error { return c.log.Close() }
 
-// Info summarizes a corpus file for reporting (the muzhad /v1/stats
+// Info summarizes a corpus file for reporting (the `muzha serve` /v1/stats
 // chaos block). It reads the journal fresh on every call, tolerating
 // a concurrently appending loop the same way resume does, but never
 // creates or repairs the file.

@@ -16,7 +16,7 @@ import (
 	"muzha"
 )
 
-// Client talks to a muzhad daemon. The zero HTTPClient uses
+// Client talks to a `muzha serve` daemon. The zero HTTPClient uses
 // http.DefaultClient; streaming requests get no timeout (they are
 // ended by the daemon or the context).
 type Client struct {
@@ -144,7 +144,7 @@ func apiError(resp *http.Response, body []byte) error {
 }
 
 // parseRetryAfter accepts every Retry-After form a daemon may send:
-// integer seconds ("2"), fractional seconds ("1.5" — muzhad's
+// integer seconds ("2"), fractional seconds ("1.5" — the server's
 // queue-derived hints), and an HTTP-date, which yields the delta from
 // now (clamped at zero for dates already past).
 func parseRetryAfter(s string, now time.Time) (time.Duration, bool) {

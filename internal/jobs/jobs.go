@@ -1,8 +1,8 @@
-// Package jobs is the simulation-as-a-service layer behind the muzhad
+// Package jobs is the simulation-as-a-service layer behind the `muzha serve`
 // daemon: a job store journaled to JSONL (crash-recoverable), a
 // content-addressed result cache keyed by Config.Hash(), an HTTP server
 // with bounded-queue admission control and SSE progress streaming, and
-// a small client used by `muzhasim -remote`.
+// a small client used by `muzha run -remote`.
 //
 // The contract that makes the cache sound is determinism: a Config
 // fully determines its Result, so the canonical encoding of the Config
@@ -70,7 +70,7 @@ type Job struct {
 // sanitized (non-finite floats zeroed, so encoding cannot fail on a
 // degenerate flow) and canonical JSON (sorted keys). Every producer of
 // persisted or served results — the daemon's cache and responses,
-// `muzhasim -out` — uses this one encoder, which is what makes "cached
+// `muzha run -out` — uses this one encoder, which is what makes "cached
 // result" and "fresh result" byte-comparable.
 func EncodeResult(r *muzha.Result) (json.RawMessage, error) {
 	r.Sanitize()

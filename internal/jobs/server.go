@@ -46,7 +46,7 @@ type ServerConfig struct {
 	// are evicted past the caps. Zero fields are unbounded.
 	CacheLimit CacheLimit
 	// ChaosStats, when non-nil, supplies the chaos block of /v1/stats —
-	// a summary of the chaos-corpus journal (muzhad -chaos-corpus).
+	// a summary of the chaos-corpus journal (`muzha serve -chaos-corpus`).
 	ChaosStats func() *chaoscov.Info
 }
 

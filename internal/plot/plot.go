@@ -1,6 +1,6 @@
 // Package plot renders simple SVG line charts with the standard library
 // only. It exists so the reproduction can emit figure files directly
-// (cmd/muzhaplot) instead of requiring an external plotting stack.
+// (`muzha plot`) instead of requiring an external plotting stack.
 package plot
 
 import (

@@ -149,7 +149,7 @@ func finiteOr0(x float64) float64 {
 // Sanitize replaces every non-finite float in the Result with 0 so the
 // Result is always JSON-encodable — encoding/json fails outright on
 // NaN/Inf, which would turn one degenerate flow into a daemon response
-// error. The result encoders (muzhad responses, muzhasim -out) call
+// error. The result encoders (daemon responses, `muzha run -out`) call
 // this before marshalling.
 func (r *Result) Sanitize() {
 	for i := range r.Flows {

@@ -1,11 +1,11 @@
 #!/usr/bin/env bash
-# End-to-end smoke test of the muzhad daemon, run by CI under -race:
+# End-to-end smoke test of the `muzha serve` daemon, run by CI under -race:
 #
 #   1. submit a 4-hop chain run and wait for completion
 #   2. submit the identical config again — must be a cache hit with
 #      byte-identical result bytes
 #   3. stream a fresh job over SSE — must end with a "done" event
-#   4. muzhasim -remote must match the in-process run byte-for-byte
+#   4. `muzha run -remote` must match the in-process run byte-for-byte
 #   5. SIGKILL the daemon mid-job, restart it, and watch the journal
 #      re-queue and finish the interrupted job
 #   6. SIGTERM must drain and exit 0
@@ -49,7 +49,7 @@ field() { # field <json> <name>  -> first string value of "name"
 }
 
 start_daemon() {
-  "$BIN/muzhad" -addr "$ADDR" -data "$DATA" -drain-grace 5s >>"$WORK/muzhad.log" 2>&1 &
+  "$BIN/muzha" serve -addr "$ADDR" -data "$DATA" -drain-grace 5s >>"$WORK/muzhad.log" 2>&1 &
   DAEMON_PID=$!
   for _ in $(seq 1 100); do
     if curl -fs "$BASE/v1/healthz" >/dev/null 2>&1; then return 0; fi
@@ -75,8 +75,7 @@ wait_state() { # wait_state <id> <state> <tries>  (0.2 s per try)
 }
 
 log "build (race)"
-go build -race -o "$BIN/muzhad" ./cmd/muzhad
-go build -race -o "$BIN/muzhasim" ./cmd/muzhasim
+go build -race -o "$BIN/muzha" ./cmd/muzha
 
 log "start daemon"
 start_daemon
@@ -103,9 +102,9 @@ curl -fsN --max-time 120 "$BASE/v1/jobs/$ID3/stream" -o "$WORK/stream.txt"
 grep -q '^event: progress' "$WORK/stream.txt"
 grep -q '^event: done' "$WORK/stream.txt"
 
-log "muzhasim -remote matches the in-process run byte-for-byte"
-"$BIN/muzhasim" -exp single -hops 2 -variants newreno -duration 2s -out "$WORK/local.json" >"$WORK/local.csv"
-"$BIN/muzhasim" -exp single -hops 2 -variants newreno -duration 2s -out "$WORK/remote.json" -remote "$ADDR" >"$WORK/remote.csv"
+log "muzha run -remote matches the in-process run byte-for-byte"
+"$BIN/muzha" run -hops 2 -variants newreno -duration 2s -out "$WORK/local.json" >"$WORK/local.csv"
+"$BIN/muzha" run -hops 2 -variants newreno -duration 2s -out "$WORK/remote.json" -remote "$ADDR" >"$WORK/remote.csv"
 cmp "$WORK/local.csv" "$WORK/remote.csv"
 cmp "$WORK/local.json" "$WORK/remote.json"
 
