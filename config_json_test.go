@@ -3,6 +3,7 @@ package muzha
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -147,6 +148,11 @@ func TestConfigHashStability(t *testing.T) {
 	if len(h1) != 64 {
 		t.Fatalf("hash is not sha256 hex: %q", h1)
 	}
+	// Pinned: a refactor of the wire form must leave existing cache
+	// keys intact.
+	if want := "674c7ded18499e83b897bafeb44b12b5aac5548e75874753dea50a8a59474c99"; h1 != want {
+		t.Fatalf("Hash() = %s, want the pinned %s", h1, want)
+	}
 
 	// Guard budgets, observers and the engine width must not move the
 	// hash: they cannot change what a completed run computes, so
@@ -200,6 +206,95 @@ func TestConfigHashStability(t *testing.T) {
 	}
 	if hb != h1 {
 		t.Fatalf("round trip changed the hash: %s vs %s", hb, h1)
+	}
+}
+
+// TestConfigWireFieldsReachHash walks Config's exported fields: each is
+// either tagged "-" (an observer) or survives a JSON round trip, and
+// every wire field but Guards and Workers moves the hash when set away
+// from zero. A field added to Config without a deliberate tag therefore
+// reaches the cache key instead of silently colliding configs.
+func TestConfigWireFieldsReachHash(t *testing.T) {
+	top, err := ChainTopology(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	zeroHash, err := Config{}.Hash()
+	if err != nil {
+		t.Fatal(err)
+	}
+	typ := reflect.TypeOf(Config{})
+	for i := 0; i < typ.NumField(); i++ {
+		f := typ.Field(i)
+		if !f.IsExported() {
+			continue
+		}
+		t.Run(f.Name, func(t *testing.T) {
+			tag := f.Tag.Get("json")
+			if tag == "-" {
+				return
+			}
+			if tag == "" || strings.Contains(tag, ",") {
+				t.Errorf("wire field has tag %q, want a bare wire name (or \"-\" for an observer)", tag)
+			}
+			var cfg Config
+			v := reflect.ValueOf(&cfg).Elem().Field(i)
+			if f.Type == reflect.TypeOf(Topology{}) {
+				v.Set(reflect.ValueOf(top))
+			} else {
+				setNonZero(t, v)
+			}
+
+			b, err := json.Marshal(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var back Config
+			if err := json.Unmarshal(b, &back); err != nil {
+				t.Fatal(err)
+			}
+			if got := reflect.ValueOf(back).Field(i).Interface(); !reflect.DeepEqual(got, v.Interface()) {
+				t.Errorf("round trip returned %+v, want %+v", got, v.Interface())
+			}
+
+			h, err := cfg.Hash()
+			if err != nil {
+				t.Fatal(err)
+			}
+			switch excluded := f.Name == "Guards" || f.Name == "Workers"; {
+			case excluded && h != zeroHash:
+				t.Errorf("execution-only field changed the hash")
+			case !excluded && h == zeroHash:
+				t.Errorf("setting the field left the hash unchanged")
+			}
+		})
+	}
+}
+
+// setNonZero moves v away from its zero value: scalars to one (or
+// true), slices to one zero element, pointers to a zero pointee, and
+// structs through their first field.
+func setNonZero(t *testing.T, v reflect.Value) {
+	t.Helper()
+	switch v.Kind() {
+	case reflect.Bool:
+		v.SetBool(true)
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		v.SetInt(1)
+	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+		v.SetUint(1)
+	case reflect.Float32, reflect.Float64:
+		v.SetFloat(1)
+	case reflect.String:
+		v.SetString("x")
+	case reflect.Slice:
+		v.Set(reflect.MakeSlice(v.Type(), 1, 1))
+	case reflect.Pointer:
+		v.Set(reflect.New(v.Type().Elem()))
+	case reflect.Struct:
+		setNonZero(t, v.Field(0))
+	default:
+		t.Fatalf("no non-zero value for kind %s; tag an observer field \"-\"", v.Kind())
 	}
 }
 

@@ -65,12 +65,9 @@ func TestExecuteOrderAndParallelism(t *testing.T) {
 		for i := range jobs {
 			jobs[i] = Job{Key: fmt.Sprintf("job-%d", i), Fn: func() (any, error) { return i, nil }}
 		}
-		outs, sum := Execute(jobs, Options{Workers: workers})
-		if sum.OK != 20 || sum.Failed() != 0 {
-			t.Fatalf("workers=%d: summary %+v", workers, sum)
-		}
+		outs := Execute(jobs, Options{Workers: workers})
 		for i, o := range outs {
-			if o.Value.(int) != i {
+			if o.Err != nil || o.Value.(int) != i {
 				t.Fatalf("workers=%d: outcome %d holds %v", workers, i, o.Value)
 			}
 		}
@@ -85,10 +82,7 @@ func TestExecutePanicContainment(t *testing.T) {
 		{Key: "bomb", Fn: func() (any, error) { panic("boom") }},
 		{Key: "good-2", Fn: func() (any, error) { return "ok", nil }},
 	}
-	outs, sum := Execute(jobs, Options{Workers: 2})
-	if sum.OK != 2 || sum.Failures[ClassPanic] != 1 {
-		t.Fatalf("summary %+v", sum)
-	}
+	outs := Execute(jobs, Options{Workers: 2})
 	if !errors.Is(outs[1].Err, ErrPanic) || outs[1].Class != ClassPanic {
 		t.Fatalf("panic outcome %+v", outs[1])
 	}
@@ -121,7 +115,7 @@ func TestReplayClassifiesNonDeterministic(t *testing.T) {
 			return nil, fmt.Errorf("always: %w", ErrLivelock)
 		}},
 	}
-	outs, sum := Execute(jobs, Options{Workers: 1, Replay: true})
+	outs := Execute(jobs, Options{Workers: 1, Replay: true})
 	if outs[0].Class != ClassNonDeterministic || !errors.Is(outs[0].Err, ErrNonDeterministic) {
 		t.Fatalf("flaky job classified %q (%v)", outs[0].Class, outs[0].Err)
 	}
@@ -131,8 +125,8 @@ func TestReplayClassifiesNonDeterministic(t *testing.T) {
 	if calls["flaky"] != 2 || calls["stuck"] != 2 {
 		t.Fatalf("replay counts %v, want exactly one replay each", calls)
 	}
-	if sum.Replayed != 2 {
-		t.Fatalf("summary %+v", sum)
+	if !outs[0].Replayed || !outs[1].Replayed {
+		t.Fatalf("replay not reported: %+v", outs)
 	}
 }
 
@@ -144,7 +138,7 @@ func TestReplaySkipsDeadline(t *testing.T) {
 		calls++
 		return nil, fmt.Errorf("too slow: %w", ErrDeadline)
 	}}}
-	outs, _ := Execute(jobs, Options{Workers: 1, Replay: true})
+	outs := Execute(jobs, Options{Workers: 1, Replay: true})
 	if calls != 1 {
 		t.Fatalf("deadline failure replayed %d times", calls)
 	}
@@ -205,25 +199,5 @@ func TestWatchdogInterval(t *testing.T) {
 	}
 	if got := (WatchdogConfig{LivelockWindow: 7, CheckEvery: 50}).Interval(); got != 7 {
 		t.Fatalf("livelock-capped interval %d", got)
-	}
-}
-
-func TestSummaryString(t *testing.T) {
-	outs := []Outcome{
-		{Err: nil},
-		{Resumed: true},
-		{Err: fmt.Errorf("x: %w", ErrPanic), Class: ClassPanic},
-		{Err: fmt.Errorf("x: %w", ErrLivelock), Class: ClassLivelock},
-	}
-	s := Summarize(outs)
-	if s.Total != 4 || s.OK != 2 || s.Resumed != 1 || s.Failed() != 2 {
-		t.Fatalf("summary %+v", s)
-	}
-	str := s.String()
-	if str != "4 runs: 2 ok (1 resumed), 2 failed [panic:1 livelock:1]" {
-		t.Fatalf("String() = %q", str)
-	}
-	if !errors.Is(s.Worst(), ErrPanic) {
-		t.Fatalf("Worst() = %v", s.Worst())
 	}
 }

@@ -52,86 +52,12 @@ type Options struct {
 	Replay bool
 }
 
-// Summary aggregates a pool execution per failure class.
-type Summary struct {
-	Total    int
-	OK       int
-	Resumed  int
-	Replayed int
-	Failures map[Class]int
-}
-
-// Failed totals the failures across classes.
-func (s Summary) Failed() int {
-	n := 0
-	for _, c := range s.Failures {
-		n += c
-	}
-	return n
-}
-
-// Worst returns the sentinel of the most severe failure class, or nil
-// when every job succeeded (ClassError failures return a generic
-// non-sentinel error).
-func (s Summary) Worst() error {
-	switch c := WorstOf(s.Failures); c {
-	case ClassOK:
-		return nil
-	case ClassError:
-		return fmt.Errorf("unclassified run failure")
-	default:
-		return Sentinel(c)
-	}
-}
-
-// String renders e.g. "12 runs: 9 ok (3 resumed), 3 failed [panic:1 livelock:2]".
-func (s Summary) String() string {
-	out := fmt.Sprintf("%d runs: %d ok", s.Total, s.OK)
-	if s.Resumed > 0 {
-		out += fmt.Sprintf(" (%d resumed)", s.Resumed)
-	}
-	if f := s.Failed(); f > 0 {
-		out += fmt.Sprintf(", %d failed [", f)
-		first := true
-		for _, c := range worstFirst {
-			if n := s.Failures[c]; n > 0 {
-				if !first {
-					out += " "
-				}
-				out += fmt.Sprintf("%s:%d", c, n)
-				first = false
-			}
-		}
-		out += "]"
-	}
-	return out
-}
-
-// Summarize tallies outcomes into a Summary.
-func Summarize(outs []Outcome) Summary {
-	s := Summary{Total: len(outs), Failures: make(map[Class]int)}
-	for _, o := range outs {
-		if o.Resumed {
-			s.Resumed++
-		}
-		if o.Replayed {
-			s.Replayed++
-		}
-		if o.Err == nil {
-			s.OK++
-		} else {
-			s.Failures[o.Class]++
-		}
-	}
-	return s
-}
-
 // Execute runs the jobs on a supervised worker pool and returns one
-// Outcome per job, in job order, plus their Summary. The pool never
-// aborts early: a failed, panicking or stuck job is classified and the
-// remaining jobs still run. Each Fn executes single-threaded within its
-// worker, so per-run results are independent of the worker count.
-func Execute(jobs []Job, opt Options) ([]Outcome, Summary) {
+// Outcome per job, in job order. The pool never aborts early: a failed,
+// panicking or stuck job is classified and the remaining jobs still
+// run. Each Fn executes single-threaded within its worker, so per-run
+// results are independent of the worker count.
+func Execute(jobs []Job, opt Options) []Outcome {
 	workers := opt.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -141,7 +67,7 @@ func Execute(jobs []Job, opt Options) ([]Outcome, Summary) {
 	}
 	outs := make([]Outcome, len(jobs))
 	if len(jobs) == 0 {
-		return outs, Summarize(outs)
+		return outs
 	}
 	var next atomic.Int64
 	var wg sync.WaitGroup
@@ -159,7 +85,7 @@ func Execute(jobs []Job, opt Options) ([]Outcome, Summary) {
 		}()
 	}
 	wg.Wait()
-	return outs, Summarize(outs)
+	return outs
 }
 
 // runJob executes (or resumes) one job with panic containment, failure

@@ -374,7 +374,7 @@ func (c *Client) Wait(ctx context.Context, id string, poll time.Duration) (Job, 
 // snapshot, and returns the terminal Job from the "done" event. A
 // stream that ends without a done event (daemon drain) falls back to
 // Get.
-func (c *Client) Stream(ctx context.Context, id string, onProgress func(Progress)) (Job, error) {
+func (c *Client) Stream(ctx context.Context, id string, onProgress func(muzha.ProgressUpdate)) (Job, error) {
 	req, err := c.newRequest(ctx, http.MethodGet, "/v1/jobs/"+id+"/stream", nil)
 	if err != nil {
 		return Job{}, err
@@ -406,7 +406,7 @@ func (c *Client) Stream(ctx context.Context, id string, onProgress func(Progress
 			data := strings.TrimPrefix(line, "data: ")
 			switch event {
 			case "progress":
-				var p Progress
+				var p muzha.ProgressUpdate
 				if json.Unmarshal([]byte(data), &p) == nil && onProgress != nil {
 					onProgress(p)
 				}

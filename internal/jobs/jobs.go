@@ -33,14 +33,6 @@ const (
 // Terminal reports whether the state is final.
 func (s State) Terminal() bool { return s == StateDone || s == StateFailed }
 
-// Progress is a running job's latest snapshot, streamed to clients.
-type Progress struct {
-	// SimTimeNs is the virtual time reached, in nanoseconds.
-	SimTimeNs int64 `json:"sim_time_ns"`
-	// Events is the number of engine events executed.
-	Events uint64 `json:"events"`
-}
-
 // Job is one submission's record — the API response body and the
 // snapshot the Store journals on every state transition.
 type Job struct {
@@ -63,7 +55,7 @@ type Job struct {
 	Error string `json:"error,omitempty"`
 	Class string `json:"class,omitempty"`
 	// Progress is the latest in-run snapshot.
-	Progress Progress `json:"progress"`
+	Progress muzha.ProgressUpdate `json:"progress"`
 }
 
 // EncodeResult renders a Result in the daemon's canonical form:

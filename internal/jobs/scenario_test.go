@@ -3,11 +3,15 @@ package jobs
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
+
+	"muzha"
+	"muzha/internal/scenario"
 )
 
 func postScenario(t *testing.T, url, body string) (*http.Response, []byte) {
@@ -105,5 +109,65 @@ func TestScenarioEndpointRejectsBadSpecs(t *testing.T) {
 	resp, out := postScenario(t, ts.URL, `{"scenario": {"seed": 1, "topolgy": {"kind": "chain"}}}`)
 	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(out), "topolgy") {
 		t.Fatalf("unknown-field error does not name the field: %d %s", resp.StatusCode, out)
+	}
+}
+
+// TestScenarioDRAIClampRunsClamped: a spec's drai_clamp knob must
+// survive the daemon's canonical config, so the job's bytes equal a
+// local run of spec.Config() and differ from the unclamped spec's.
+func TestScenarioDRAIClampRunsClamped(t *testing.T) {
+	ctx := testCtx(t)
+	srv, cli := newTestServer(t, ServerConfig{})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	const spec = `{"name": "clamp", "seed": 3, "duration_ms": 3000,
+		"topology": {"kind": "chain", "hops": 4},
+		"flows": [{"src": 0, "dst": 4, "variant": "newreno"}],
+		"stack": {%s}}`
+	var results [2]json.RawMessage
+	for i, stack := range []string{``, `"drai_clamp": true`} {
+		raw := fmt.Sprintf(spec, stack)
+		resp, out := postScenario(t, ts.URL, `{"scenario": `+raw+`}`)
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("stack {%s}: %d %s", stack, resp.StatusCode, out)
+		}
+		var sj ScenarioJob
+		if err := json.Unmarshal(out, &sj); err != nil {
+			t.Fatal(err)
+		}
+		j, err := cli.Wait(ctx, sj.ID, 10*time.Millisecond)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if j.State != StateDone {
+			t.Fatalf("stack {%s}: job ended %s [%s]: %s", stack, j.State, j.Class, j.Error)
+		}
+		if results[i], err = cli.Result(ctx, j.ID); err != nil {
+			t.Fatal(err)
+		}
+
+		s, err := scenario.Parse([]byte(raw))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg, err := s.Config()
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := muzha.Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := EncodeResult(res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(results[i], want) {
+			t.Fatalf("stack {%s}: daemon result differs from a local run of spec.Config()", stack)
+		}
+	}
+	if bytes.Equal(results[0], results[1]) {
+		t.Fatal("drai_clamp spec returned the unclamped spec's bytes")
 	}
 }

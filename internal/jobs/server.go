@@ -224,8 +224,7 @@ func (s *Server) runFn(id string) func() (any, error) {
 		}
 		cfg.Cancel = s.cancel
 		cfg.ProgressEvery = s.cfg.ProgressEvery
-		cfg.Progress = func(u muzha.ProgressUpdate) {
-			p := Progress{SimTimeNs: int64(u.SimTime), Events: u.Events}
+		cfg.Progress = func(p muzha.ProgressUpdate) {
 			s.store.SetProgress(id, p)
 			s.mu.Lock()
 			h := s.hubs[id]
@@ -260,7 +259,7 @@ func (s *Server) complete(id, hash, client string, o harness.Outcome) {
 	case errors.Is(o.Err, harness.ErrCanceled):
 		j, _ = s.store.Transition(id, func(j *Job) {
 			j.State = StateQueued
-			j.Progress = Progress{}
+			j.Progress = muzha.ProgressUpdate{}
 		})
 	default:
 		j, _ = s.store.Transition(id, func(j *Job) {

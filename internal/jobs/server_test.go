@@ -382,8 +382,8 @@ func TestStreamDeliversProgressAndDone(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var snaps []Progress
-	done, err := cli.Stream(ctx, j.ID, func(p Progress) { snaps = append(snaps, p) })
+	var snaps []muzha.ProgressUpdate
+	done, err := cli.Stream(ctx, j.ID, func(p muzha.ProgressUpdate) { snaps = append(snaps, p) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -394,7 +394,7 @@ func TestStreamDeliversProgressAndDone(t *testing.T) {
 		t.Fatal("no progress events")
 	}
 	last := snaps[len(snaps)-1]
-	if last.Events == 0 || last.SimTimeNs == 0 {
+	if last.Events == 0 || last.SimTime == 0 {
 		t.Fatalf("final progress = %+v, want nonzero", last)
 	}
 }
@@ -437,5 +437,54 @@ func TestSubmitRejectsInvalidConfig(t *testing.T) {
 	var remote *RemoteError
 	if !errors.As(err, &remote) || remote.Status != http.StatusBadRequest {
 		t.Fatalf("err = %v, want 400", err)
+	}
+}
+
+// TestDRAIClampKeysItsOwnCacheEntry: DRAIClamp changes what a run
+// computes, so two submissions differing only in it must hash apart —
+// two cache entries and two runs, never a cache hit serving the
+// unclamped result for the clamped config.
+func TestDRAIClampKeysItsOwnCacheEntry(t *testing.T) {
+	ctx := testCtx(t)
+	srv, cli := newTestServer(t, ServerConfig{})
+	cfg := chainConfig(t, 4, 3*time.Second, 3)
+	cfg.Flows[0].Variant = muzha.NewReno
+
+	var results [2]json.RawMessage
+	for i, clamp := range []bool{false, true} {
+		cfg.DRAIClamp = clamp
+		j, err := cli.Submit(ctx, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if j.Cached {
+			t.Fatalf("drai_clamp=%v submission served from the cache", clamp)
+		}
+		if j, err = cli.Wait(ctx, j.ID, 10*time.Millisecond); err != nil {
+			t.Fatal(err)
+		}
+		if j.State != StateDone {
+			t.Fatalf("drai_clamp=%v job ended %s [%s]: %s", clamp, j.State, j.Class, j.Error)
+		}
+		if results[i], err = cli.Result(ctx, j.ID); err != nil {
+			t.Fatal(err)
+		}
+		res, err := muzha.Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := EncodeResult(res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(results[i], want) {
+			t.Fatalf("drai_clamp=%v daemon result differs from a local run", clamp)
+		}
+	}
+	if bytes.Equal(results[0], results[1]) {
+		t.Fatal("clamped and unclamped runs returned the same bytes")
+	}
+	if st := srv.Snapshot(); st.CacheEntries != 2 || st.CacheHits != 0 || st.Completed != 2 {
+		t.Fatalf("stats = %+v, want 2 cache entries / 0 hits / 2 completed", st)
 	}
 }

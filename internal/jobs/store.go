@@ -7,6 +7,7 @@ import (
 	"strings"
 	"sync"
 
+	"muzha"
 	"muzha/internal/jsonl"
 )
 
@@ -56,7 +57,7 @@ func OpenStore(path string) (*Store, error) {
 			continue
 		}
 		j.State = StateQueued
-		j.Progress = Progress{}
+		j.Progress = muzha.ProgressUpdate{}
 		s.log.Append(*j)
 		s.requeued = append(s.requeued, id)
 	}
@@ -147,7 +148,7 @@ func (s *Store) Transition(id string, mutate func(*Job)) (Job, bool) {
 // Progress is advisory and refreshed every few hundred milliseconds of
 // wall time; journaling each tick would bloat the file for data that is
 // worthless after a restart.
-func (s *Store) SetProgress(id string, p Progress) {
+func (s *Store) SetProgress(id string, p muzha.ProgressUpdate) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if j, ok := s.jobs[id]; ok {

@@ -5,6 +5,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"muzha"
 )
 
 func TestStoreLifecycleAndReload(t *testing.T) {
@@ -27,7 +29,7 @@ func TestStoreLifecycleAndReload(t *testing.T) {
 	}); !ok {
 		t.Fatal("transition missed the job")
 	}
-	s.SetProgress(b.ID, Progress{SimTimeNs: 5, Events: 9})
+	s.SetProgress(b.ID, muzha.ProgressUpdate{SimTime: 5, Events: 9})
 	if got, _ := s.Get(b.ID); got.Progress.Events != 9 {
 		t.Fatalf("progress = %+v", got.Progress)
 	}
@@ -73,7 +75,7 @@ func TestStoreRecoversRunningJobAndSkipsTruncatedLine(t *testing.T) {
 		Client:   "crash",
 		State:    StateRunning,
 		Config:   json.RawMessage(`{"seed":7}`),
-		Progress: Progress{SimTimeNs: 123, Events: 456},
+		Progress: muzha.ProgressUpdate{SimTime: 123, Events: 456},
 	}
 	line, err := json.Marshal(running)
 	if err != nil {
@@ -98,7 +100,7 @@ func TestStoreRecoversRunningJobAndSkipsTruncatedLine(t *testing.T) {
 		t.Fatalf("requeued = %v", req)
 	}
 	j, ok := s.Get(running.ID)
-	if !ok || j.State != StateQueued || j.Progress != (Progress{}) {
+	if !ok || j.State != StateQueued || j.Progress != (muzha.ProgressUpdate{}) {
 		t.Fatalf("recovered job = %+v, want queued with zero progress", j)
 	}
 	if string(j.Config) != `{"seed":7}` {

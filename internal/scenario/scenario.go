@@ -93,9 +93,9 @@ type Topology struct {
 	Rows int `json:"rows,omitempty"`
 	Cols int `json:"cols,omitempty"`
 	// Nodes, Width, Height and PlacementSeed parameterize random and
-	// rgeo. PlacementSeed 0 falls back to the spec seed, so a mutated
-	// copy keeps its layout unless the mutation targets placement
-	// itself.
+	// rgeo (and grid-islands flow placement). PlacementSeed 0 falls
+	// back to the spec seed + 1, so a mutated copy keeps its layout
+	// unless the mutation targets placement itself.
 	Nodes         int     `json:"nodes,omitempty"`
 	Width         float64 `json:"width,omitempty"`
 	Height        float64 `json:"height,omitempty"`
@@ -415,12 +415,6 @@ func (s Spec) Config() (muzha.Config, error) {
 		})
 	}
 	if m := s.Mobility; m != nil {
-		n := top.Nodes()
-		for _, id := range m.Nodes {
-			if id < 0 || id >= n {
-				return muzha.Config{}, fmt.Errorf("scenario: mobile node %d out of range [0,%d)", id, n)
-			}
-		}
 		cfg.Mobility = &muzha.Mobility{
 			Model:       m.Model,
 			Width:       m.Width,

@@ -1,7 +1,6 @@
 package topo
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 
@@ -48,11 +47,8 @@ type manhattanNode struct {
 // mobile nodes are snapped to their nearest street. Call Start to
 // begin motion.
 func NewManhattan(s *sim.Simulator, target PositionSetter, cfg ManhattanConfig) (*Manhattan, error) {
-	if cfg.Width <= 0 || cfg.Height <= 0 {
-		return nil, fmt.Errorf("topo: manhattan field must have positive area, got %gx%g", cfg.Width, cfg.Height)
-	}
-	if cfg.MinSpeed <= 0 || cfg.MaxSpeed < cfg.MinSpeed {
-		return nil, fmt.Errorf("topo: manhattan speeds invalid: min=%g max=%g", cfg.MinSpeed, cfg.MaxSpeed)
+	if err := cfg.Validate(); err != nil {
+		return nil, err
 	}
 	if cfg.Spacing <= 0 {
 		cfg.Spacing = DefaultSpacing
@@ -69,12 +65,14 @@ func NewManhattan(s *sim.Simulator, target PositionSetter, cfg ManhattanConfig) 
 		maxY:   math.Floor(cfg.Height/cfg.Spacing) * cfg.Spacing,
 	}
 	for _, id := range cfg.MobileNodes {
-		if id < 0 || id >= len(cfg.InitialPositions) {
-			return nil, fmt.Errorf("topo: mobile node %d has no initial position", id)
-		}
 		m.nodes = append(m.nodes, manhattanNode{id: id, pos: m.snap(cfg.InitialPositions[id])})
 	}
 	return m, nil
+}
+
+// Validate reports what NewManhattan would reject.
+func (c ManhattanConfig) Validate() error {
+	return validateMotion("manhattan", c.Width, c.Height, c.MinSpeed, c.MaxSpeed, c.MobileNodes, len(c.InitialPositions))
 }
 
 // snap moves a position onto its nearest street (the closer of the

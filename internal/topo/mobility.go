@@ -46,23 +46,40 @@ type waypointNode struct {
 // NewWaypoint validates the configuration and prepares the model. Call
 // Start to begin motion.
 func NewWaypoint(s *sim.Simulator, target PositionSetter, cfg WaypointConfig) (*Waypoint, error) {
-	if cfg.Width <= 0 || cfg.Height <= 0 {
-		return nil, fmt.Errorf("topo: waypoint field must have positive area, got %gx%g", cfg.Width, cfg.Height)
-	}
-	if cfg.MinSpeed <= 0 || cfg.MaxSpeed < cfg.MinSpeed {
-		return nil, fmt.Errorf("topo: waypoint speeds invalid: min=%g max=%g", cfg.MinSpeed, cfg.MaxSpeed)
+	if err := cfg.Validate(); err != nil {
+		return nil, err
 	}
 	if cfg.UpdateInterval <= 0 {
 		cfg.UpdateInterval = 100 * sim.Millisecond
 	}
 	w := &Waypoint{cfg: cfg, sim: s, rng: s.Rand(), target: target}
 	for _, id := range cfg.MobileNodes {
-		if id < 0 || id >= len(cfg.InitialPositions) {
-			return nil, fmt.Errorf("topo: mobile node %d has no initial position", id)
-		}
 		w.nodes = append(w.nodes, waypointNode{id: id, pos: cfg.InitialPositions[id]})
 	}
 	return w, nil
+}
+
+// Validate reports what NewWaypoint would reject.
+func (c WaypointConfig) Validate() error {
+	return validateMotion("waypoint", c.Width, c.Height, c.MinSpeed, c.MaxSpeed, c.MobileNodes, len(c.InitialPositions))
+}
+
+// validateMotion checks what every mobility model needs: a field of
+// positive area, speeds with 0 < min <= max, and mobile nodes that each
+// have one of the n initial positions.
+func validateMotion(model string, width, height, minSpeed, maxSpeed float64, mobile []int, n int) error {
+	if width <= 0 || height <= 0 {
+		return fmt.Errorf("topo: %s field must have positive area, got %gx%g", model, width, height)
+	}
+	if minSpeed <= 0 || maxSpeed < minSpeed {
+		return fmt.Errorf("topo: %s speeds invalid: min=%g max=%g", model, minSpeed, maxSpeed)
+	}
+	for _, id := range mobile {
+		if id < 0 || id >= n {
+			return fmt.Errorf("topo: mobile node %d has no initial position", id)
+		}
+	}
+	return nil
 }
 
 // Start picks first destinations and schedules periodic position updates

@@ -29,6 +29,9 @@ func TestRunValidation(t *testing.T) {
 		cfg.Flows = []Flow{{Src: 0, Dst: 4}}
 		return cfg
 	}
+	mobility := func() *Mobility {
+		return &Mobility{Width: 1000, Height: 100, MinSpeed: 1, MaxSpeed: 2, MobileNodes: []int{1}}
+	}
 	tests := []struct {
 		name   string
 		mutate func(*Config)
@@ -44,11 +47,35 @@ func TestRunValidation(t *testing.T) {
 		{"unknown variant", func(c *Config) { c.Flows[0].Variant = "compound" }},
 		{"start after end", func(c *Config) { c.Flows[0].Start = time.Minute }},
 		{"negative flow window", func(c *Config) { c.Flows[0].Window = -1 }},
+		{"malformed DRAI levels", func(c *Config) { c.DRAI.Levels = []int{1, 5} }},
+		{"mobile node beyond chain", func(c *Config) {
+			c.Topology, _ = ChainTopology(2)
+			c.Flows[0].Dst = 2
+			c.Mobility = mobility()
+			c.Mobility.MobileNodes = []int{9}
+		}},
+		{"negative mobile node", func(c *Config) {
+			c.Mobility = mobility()
+			c.Mobility.MobileNodes = []int{-1}
+		}},
+		{"min speed above max", func(c *Config) {
+			c.Mobility = mobility()
+			c.Mobility.MinSpeed = 5
+		}},
+		{"empty mobility field", func(c *Config) {
+			c.Mobility = mobility()
+			c.Mobility.Width, c.Mobility.Height = 0, 0
+		}},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
 			cfg := base()
 			tt.mutate(&cfg)
+			// Validate is the daemon's admission check, so it must reject
+			// everything Run would reject at setup.
+			if err := cfg.Validate(); err == nil {
+				t.Fatal("Validate accepted an invalid config")
+			}
 			if _, err := Run(cfg); err == nil {
 				t.Fatal("invalid config accepted")
 			}

@@ -199,32 +199,16 @@ func run(cfg Config) (res *Result, err error) {
 		nodes[i] = n
 	}
 
-	if cfg.Mobility != nil {
-		switch cfg.Mobility.Model {
+	if m := cfg.Mobility; m != nil {
+		switch m.Model {
 		case MobilityManhattan:
-			m, err := topo.NewManhattan(s, ch, topo.ManhattanConfig{
-				Width:            cfg.Mobility.Width,
-				Height:           cfg.Mobility.Height,
-				Spacing:          cfg.Mobility.GridSpacing,
-				MinSpeed:         cfg.Mobility.MinSpeed,
-				MaxSpeed:         cfg.Mobility.MaxSpeed,
-				MobileNodes:      cfg.Mobility.MobileNodes,
-				InitialPositions: tp.Positions,
-			})
+			mm, err := topo.NewManhattan(s, ch, m.manhattan(tp.Positions))
 			if err != nil {
 				return nil, err
 			}
-			m.Start()
+			mm.Start()
 		default:
-			w, err := topo.NewWaypoint(s, ch, topo.WaypointConfig{
-				Width:            cfg.Mobility.Width,
-				Height:           cfg.Mobility.Height,
-				MinSpeed:         cfg.Mobility.MinSpeed,
-				MaxSpeed:         cfg.Mobility.MaxSpeed,
-				Pause:            sim.FromDuration(cfg.Mobility.Pause),
-				MobileNodes:      cfg.Mobility.MobileNodes,
-				InitialPositions: tp.Positions,
-			})
+			w, err := topo.NewWaypoint(s, ch, m.waypoint(tp.Positions))
 			if err != nil {
 				return nil, err
 			}

@@ -147,7 +147,7 @@ func runPool(units []runUnit, opt SweepOptions, verify bool) ([]runOutcome, erro
 	if workers <= 0 {
 		workers = 1
 	}
-	outs, _ := harness.Execute(jobs, harness.Options{
+	outs := harness.Execute(jobs, harness.Options{
 		Workers: workers,
 		Journal: journal,
 		Replay:  true,

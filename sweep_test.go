@@ -88,7 +88,7 @@ func TestLivelockDetectorTripsOnZeroDelayCycle(t *testing.T) {
 // TestSweepClassifiesLivelockBudgetAndPanic is the acceptance scenario:
 // one sweep containing a livelocking run, an event-budget blowup and a
 // panicking run completes, finishes the healthy job, and classifies all
-// three failures correctly in the summary.
+// three failures correctly in the SweepError.
 func TestSweepClassifiesLivelockBudgetAndPanic(t *testing.T) {
 	guardedSim := func(seed int64, wc harness.WatchdogConfig, load func(*sim.Simulator)) func() (any, error) {
 		return func() (any, error) {
@@ -119,21 +119,26 @@ func TestSweepClassifiesLivelockBudgetAndPanic(t *testing.T) {
 		{Key: "healthy", Fn: func() (any, error) { return Run(healthy) }},
 	}
 
-	outs, sum := harness.Execute(jobs, harness.Options{Workers: 4, Replay: true})
-	if sum.Failures[harness.ClassLivelock] != 1 ||
-		sum.Failures[harness.ClassEventBudget] != 1 ||
-		sum.Failures[harness.ClassPanic] != 1 || sum.OK != 1 {
-		t.Fatalf("summary misclassified the sweep: %+v", sum)
-	}
+	outs := harness.Execute(jobs, harness.Options{Workers: 4, Replay: true})
+	ros := make([]runOutcome, len(outs))
 	for i, want := range []harness.Class{
 		harness.ClassLivelock, harness.ClassEventBudget, harness.ClassPanic, harness.ClassOK,
 	} {
 		if outs[i].Class != want {
 			t.Errorf("job %q classified %q, want %q (err=%v)", outs[i].Key, outs[i].Class, want, outs[i].Err)
 		}
+		ros[i] = runOutcome{Err: outs[i].Err, Class: string(outs[i].Class)}
 	}
-	if !errors.Is(sum.Worst(), ErrPanic) {
-		t.Fatalf("Worst() = %v, want ErrPanic", sum.Worst())
+	// The sweep drivers report through sweepError, so its tally and
+	// severity are what a caller sees.
+	err := sweepError(ros)
+	var se *SweepError
+	if !errors.As(err, &se) || se.Total != 4 || se.Failed != 3 ||
+		se.Counts[ClassLivelock] != 1 || se.Counts[ClassEventBudget] != 1 || se.Counts[ClassPanic] != 1 {
+		t.Fatalf("sweep error misclassified the sweep: %v (%+v)", err, se)
+	}
+	if !errors.Is(err, ErrPanic) {
+		t.Fatalf("sweepError = %v, want ErrPanic", err)
 	}
 }
 
