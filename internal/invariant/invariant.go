@@ -218,7 +218,7 @@ func (c *Checker) Report() []Result {
 //
 // The ledger is memory-bounded: a UID lives in the outstanding set from
 // Originate until its first Delivered or Dropped, then moves to a
-// fixed-capacity cooling ring that still satisfies late lookups (a MAC
+// bounded cooling ring that still satisfies late lookups (a MAC
 // duplicate can arrive after the first copy was delivered, and a
 // salvaged retransmission can deliver after an earlier copy dropped).
 // Once ledgerCooledCap newer UIDs have retired, the slot is recycled;
@@ -235,8 +235,13 @@ type Ledger struct {
 	peak        int
 }
 
-// ledgerCooledCap bounds how many retired UIDs stay queryable.
-const ledgerCooledCap = 1 << 16
+// ledgerCooledCap bounds how many retired UIDs stay queryable;
+// ledgerRingStart is the ring's first allocation (8 KiB), enough for a
+// short run's retirements in one piece.
+const (
+	ledgerCooledCap = 1 << 16
+	ledgerRingStart = 1 << 10
+)
 
 // NewLedger binds a conservation ledger to an assertion (usually
 // checker.Always("packet-conservation")).
@@ -294,14 +299,21 @@ func (l *Ledger) Peak() int        { return l.peak }
 
 func (l *Ledger) retire(uid uint64) {
 	delete(l.outstanding, uid)
-	if l.ring == nil {
-		l.ring = make([]uint64, ledgerCooledCap)
+	// The ring grows with the run until it holds ledgerCooledCap UIDs,
+	// so a short run never pays for the full ring; then it wraps,
+	// evicting the oldest.
+	if len(l.ring) < ledgerCooledCap {
+		if l.ring == nil {
+			l.ring = make([]uint64, 0, ledgerRingStart)
+		}
+		l.ring = append(l.ring, uid)
+	} else {
+		if old := l.ring[l.ringPos]; old != 0 {
+			delete(l.cooled, old)
+		}
+		l.ring[l.ringPos] = uid
+		l.ringPos = (l.ringPos + 1) % ledgerCooledCap
 	}
-	if old := l.ring[l.ringPos]; old != 0 {
-		delete(l.cooled, old)
-	}
-	l.ring[l.ringPos] = uid
-	l.ringPos = (l.ringPos + 1) % len(l.ring)
 	l.cooled[uid] = struct{}{}
 }
 

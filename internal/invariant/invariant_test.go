@@ -139,6 +139,20 @@ func TestLedgerBounded(t *testing.T) {
 	}
 }
 
+// TestLedgerRingGrowsLazily: a short run's ledger holds only the UIDs
+// it retired, not a ring of full capacity.
+func TestLedgerRingGrowsLazily(t *testing.T) {
+	c := New(nil)
+	l := NewLedger(c.Always("packet-conservation"))
+	for uid := uint64(1); uid <= 10; uid++ {
+		l.Originate(uid)
+		l.Delivered(uid)
+	}
+	if len(l.ring) != 10 || len(l.cooled) != 10 {
+		t.Fatalf("ring %d, cooled %d after 10 retires; want 10, 10", len(l.ring), len(l.cooled))
+	}
+}
+
 func TestLedgerLateDuplicateAfterRetire(t *testing.T) {
 	c := New(nil)
 	l := NewLedger(c.Always("packet-conservation"))

@@ -25,12 +25,12 @@ func (benchMAC) OnTxDone(*packet.Packet)        {}
 // benchChannel builds a rows x cols grid spaced 200 m apart: with the
 // default 550 m carrier-sense range the centre radio fans every frame
 // out to over a dozen neighbours.
-func benchChannel(b *testing.B, rows, cols int) (*sim.Simulator, *Channel, []*Radio) {
-	b.Helper()
+func benchChannel(tb testing.TB, rows, cols int) (*sim.Simulator, *Channel, []*Radio) {
+	tb.Helper()
 	s := sim.New(1)
 	ch, err := NewChannel(s, DefaultConfig())
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	radios := make([]*Radio, 0, rows*cols)
 	for r := 0; r < rows; r++ {
@@ -79,17 +79,7 @@ func BenchmarkTransmitMobile(b *testing.B) {
 // TestBenchChannelShape pins the fan-out the benchmarks exercise so a
 // future topology tweak cannot silently turn them into no-ops.
 func TestBenchChannelShape(t *testing.T) {
-	s := sim.New(1)
-	ch, err := NewChannel(s, DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var radios []*Radio
-	for r := 0; r < 5; r++ {
-		for c := 0; c < 5; c++ {
-			radios = append(radios, ch.AddRadio(topo.Position{X: float64(c) * 200, Y: float64(r) * 200}, benchMAC{}))
-		}
-	}
+	_, _, radios := benchChannel(t, 5, 5)
 	centre := radios[12]
 	centre.rebuildNeighbors()
 	if len(centre.nb) < 12 {
@@ -100,5 +90,23 @@ func TestBenchChannelShape(t *testing.T) {
 			t.Fatalf("neighbor cache not sorted by id at %d: %v >= %v",
 				i, centre.nb[i-1].r.id, centre.nb[i].r.id)
 		}
+	}
+}
+
+// TestTransmitIsOneHeapNode pins the sorted-run scheduling of a frame:
+// its 2k+1 events (start and end at each of k neighbours, then tx-done)
+// are all pending but occupy a single heap node, and they drain to an
+// empty queue.
+func TestTransmitIsOneHeapNode(t *testing.T) {
+	s, ch, radios := benchChannel(t, 5, 5)
+	centre := radios[12]
+	centre.Transmit(&packet.Packet{Kind: packet.KindData, Size: 1000}, ch.TxTime(1000, false))
+	k := len(centre.nb)
+	if s.QueueLen() != 1 || s.Pending() != 2*k+1 {
+		t.Fatalf("QueueLen, Pending = %d, %d; want 1, %d", s.QueueLen(), s.Pending(), 2*k+1)
+	}
+	s.RunAll()
+	if s.EventsExecuted() != uint64(2*k+1) || s.Pending() != 0 || s.QueueLen() != 0 {
+		t.Fatalf("after drain: events %d, Pending %d, QueueLen %d", s.EventsExecuted(), s.Pending(), s.QueueLen())
 	}
 }

@@ -120,9 +120,11 @@ type Channel struct {
 	// (O(neighbors)), not every radio on the channel.
 	grid map[gridCell][]*Radio
 
-	// flights recycles the argument blocks carried by in-flight signal
-	// events, so a transmission schedules zero allocations.
-	flights []*flight
+	// frames recycles the in-flight transmissions, and delays is the
+	// scratch member list handed to ScheduleRun, so a transmission
+	// schedules zero allocations.
+	frames *frame
+	delays []sim.Time
 
 	// Fault-injection state (see internal/fault): directional link
 	// mutes, partition classes, and the Gilbert–Elliott loss overlay.
@@ -343,54 +345,66 @@ type reception struct {
 	collided bool
 }
 
-// flight carries one scheduled signal's arguments through the engine's
-// closure-free ScheduleArg path. One flight serves a signal's start and
-// end events at a receiver (the end event recycles it); the transmitter's
-// own tx-done event uses a flight with only to/pkt set.
-type flight struct {
-	to    *Radio
-	from  *Radio
-	pkt   *packet.Packet
+// frame is one transmission in flight: the sender, the packet and the
+// receivers its signal reaches, carried through the engine's ScheduleRun
+// as the run's argument. Member 2j starts the signal at to[j], member
+// 2j+1 ends it, and the last member is the sender's tx-done. left counts
+// the members still to fire; the last one returns the frame to the pool.
+type frame struct {
+	from *Radio
+	pkt  *packet.Packet
+	to   []target
+	left int
+	free *frame // next frame on the channel's free list
+}
+
+// target is one receiver of a frame, with the cached power and in-rx
+// flag from the sender's neighbor entry.
+type target struct {
+	r     *Radio
 	power float64
 	inRx  bool
 }
 
-func (c *Channel) getFlight() *flight {
-	if n := len(c.flights); n > 0 {
-		f := c.flights[n-1]
-		c.flights[n-1] = nil
-		c.flights = c.flights[:n-1]
-		return f
+// frameMinTargets is the smallest receiver list a pooled frame is given.
+const frameMinTargets = 8
+
+func (c *Channel) getFrame() *frame {
+	f := c.frames
+	if f == nil {
+		return &frame{}
 	}
-	return &flight{}
+	c.frames, f.free = f.free, nil
+	return f
 }
 
-func (c *Channel) putFlight(f *flight) {
-	*f = flight{}
-	c.flights = append(c.flights, f)
+func (c *Channel) putFrame(f *frame) {
+	f.from, f.pkt, f.to = nil, nil, f.to[:0]
+	f.free, c.frames = c.frames, f
 }
 
-// flightStart, flightEnd and flightTxDone are the package-level event
-// functions behind Transmit; taking their state via *flight keeps the
-// per-frame hot path free of closure allocations.
-func flightStart(a any) {
-	f := a.(*flight)
-	f.to.signalStart(f.from, f.pkt, f.power, f.inRx)
-}
-
-func flightEnd(a any) {
-	f := a.(*flight)
-	to, from, pkt := f.to, f.from, f.pkt
-	to.ch.putFlight(f)
-	to.signalEnd(from, pkt)
-}
-
-func flightTxDone(a any) {
-	f := a.(*flight)
-	r, pkt := f.to, f.pkt
-	r.ch.putFlight(f)
-	r.transmitting = false
-	r.mac.OnTxDone(pkt)
+// frameMember is the package-level event function behind Transmit;
+// taking its state via *frame keeps the per-frame hot path free of
+// closure allocations.
+func frameMember(a any, i int) {
+	f := a.(*frame)
+	from, pkt := f.from, f.pkt
+	var to target
+	if j := i >> 1; j < len(f.to) {
+		to = f.to[j]
+	}
+	if f.left--; f.left == 0 {
+		from.ch.putFrame(f)
+	}
+	switch {
+	case to.r == nil:
+		from.transmitting = false
+		from.mac.OnTxDone(pkt)
+	case i&1 == 0:
+		to.r.signalStart(from, pkt, to.power, to.inRx)
+	default:
+		to.r.signalEnd(from, pkt)
+	}
 }
 
 // ID returns the radio's channel index.
@@ -476,35 +490,40 @@ func (r *Radio) Transmit(pkt *packet.Packet, airtime sim.Time) {
 	if c.txHook != nil {
 		c.txHook(r.id, pkt)
 	}
-	if r.down {
-		// Crashed radio: complete the local transmit cycle so the MAC
-		// state machine stays consistent, but radiate nothing.
-		f := c.getFlight()
-		f.to, f.pkt = r, pkt
-		c.sim.ScheduleArg(airtime, flightTxDone, f)
-		return
-	}
-	if r.nbEpoch != c.epoch {
-		r.rebuildNeighbors()
-	}
-	// Crash and link/partition state are read per frame — only geometry
-	// is trusted from the cache — so fault injection mid-run behaves
-	// exactly as the uncached scan did.
-	faulty := c.blocked != nil || c.group != nil
-	for i := range r.nb {
-		nb := &r.nb[i]
-		other := nb.r
-		if other.down || (faulty && !c.linkOpen(r.id, other.id)) {
-			continue
+	f := c.getFrame()
+	f.from, f.pkt = r, pkt
+	c.delays = c.delays[:0]
+	// A crashed radio completes the local transmit cycle so the MAC state
+	// machine stays consistent, but radiates nothing.
+	if !r.down {
+		if r.nbEpoch != c.epoch {
+			r.rebuildNeighbors()
 		}
-		f := c.getFlight()
-		f.to, f.from, f.pkt, f.power, f.inRx = other, r, pkt, nb.power, nb.inRx
-		c.sim.ScheduleArg(nb.delay, flightStart, f)
-		c.sim.ScheduleArg(nb.delay+airtime, flightEnd, f)
+		// Crash and link/partition state are read per frame — only
+		// geometry is trusted from the cache — so fault injection mid-run
+		// behaves exactly as the uncached scan did.
+		faulty := c.blocked != nil || c.group != nil
+		// Pooled frames serve radios with different neighbour counts;
+		// a floor on the capacity keeps them from regrowing one by one.
+		if cap(f.to) < len(r.nb) {
+			f.to = make([]target, 0, max(len(r.nb), frameMinTargets))
+		}
+		if n := 2*len(r.nb) + 1; cap(c.delays) < n {
+			c.delays = make([]sim.Time, 0, max(n, 2*frameMinTargets+1))
+		}
+		for i := range r.nb {
+			nb := &r.nb[i]
+			other := nb.r
+			if other.down || (faulty && !c.linkOpen(r.id, other.id)) {
+				continue
+			}
+			f.to = append(f.to, target{r: other, power: nb.power, inRx: nb.inRx})
+			c.delays = append(c.delays, nb.delay, nb.delay+airtime)
+		}
 	}
-	f := c.getFlight()
-	f.to, f.pkt = r, pkt
-	c.sim.ScheduleArg(airtime, flightTxDone, f)
+	c.delays = append(c.delays, airtime)
+	f.left = len(c.delays)
+	c.sim.ScheduleRun(c.delays, frameMember, f)
 }
 
 func (r *Radio) signalStart(from *Radio, pkt *packet.Packet, power float64, inRxRange bool) {

@@ -9,11 +9,13 @@
 // The engine is allocation-light by design: event objects live on a free
 // list and are recycled the moment they fire or their cancellation is
 // collected, the priority queue is a concrete 4-ary indexed heap (no
-// interface boxing, fewer cache misses than a binary heap), and hot
-// callers can schedule package-level functions with an argument instead
-// of a fresh closure (ScheduleArg). Outstanding event handles are
-// generation-stamped EventRef values, so a handle kept past its event's
-// lifetime becomes inert instead of aliasing a recycled slot.
+// interface boxing, fewer cache misses than a binary heap), and a burst
+// of events known up front — a frame's per-neighbour signal starts and
+// ends — is scheduled as one sorted run behind a single heap node
+// (ScheduleRun), calling a package-level function with an argument and
+// the member's index instead of a closure per event. Outstanding event
+// handles are generation-stamped EventRef values, so a handle kept past
+// its event's lifetime becomes inert instead of aliasing a recycled slot.
 package sim
 
 import (
@@ -51,15 +53,33 @@ func FromDuration(d time.Duration) Time { return Time(d.Nanoseconds()) }
 type event struct {
 	at  Time
 	seq uint64
-	// Exactly one of fn or argFn is set. argFn avoids a per-schedule
-	// closure allocation for hot paths that pass their state explicitly.
+	// Exactly one of fn or run is set. A run node's (at, seq) is the key
+	// of its next member.
 	fn        func()
-	argFn     func(any)
-	arg       any
+	run       *run
 	sim       *Simulator
 	index     int32 // heap index, -1 when not queued
 	gen       uint32
 	cancelled bool
+}
+
+// run is the pooled member list behind one ScheduleRun heap node.
+// entries is sorted by (at, seq); member i carries sequence number
+// base+i, so the entry's index is also its tie-breaker.
+type run struct {
+	entries []runEntry
+	next    int // entries[next] is the member the node is keyed on
+	base    uint64
+	fn      func(any, int)
+	arg     any
+	free    *run // next run on the simulator's free list
+}
+
+// runEntry is one member of a run. It holds no pointers, so filling and
+// sorting a run costs no write barriers and recycling it no clearing.
+type runEntry struct {
+	at Time
+	i  int32
 }
 
 // EventRef is a generation-stamped handle to a scheduled event. The zero
@@ -117,6 +137,8 @@ type Simulator struct {
 	heap    []*event // 4-ary min-heap ordered by (at, seq)
 	dead    int      // cancelled events still queued (lazy deletion)
 	free    []*event
+	runs    *run // free list of run member lists
+	waiting int  // queued run members behind their node's head
 	seq     uint64
 	rng     *rand.Rand
 	stopped bool
@@ -160,24 +182,6 @@ func (s *Simulator) At(at Time, fn func()) EventRef {
 	if fn == nil {
 		panic("sim: nil event function")
 	}
-	return s.insert(at, fn, nil, nil)
-}
-
-// ScheduleArg runs fn(arg) after delay. Passing state explicitly lets hot
-// callers schedule a package-level function instead of allocating a
-// closure per event; arg is typically a pointer from the caller's own
-// pool. Semantics are otherwise identical to Schedule.
-func (s *Simulator) ScheduleArg(delay Time, fn func(any), arg any) EventRef {
-	if fn == nil {
-		panic("sim: nil event function")
-	}
-	if delay < 0 {
-		delay = 0
-	}
-	return s.insert(s.now+delay, nil, fn, arg)
-}
-
-func (s *Simulator) insert(at Time, fn func(), argFn func(any), arg any) EventRef {
 	if at < s.now {
 		at = s.now
 	}
@@ -185,11 +189,73 @@ func (s *Simulator) insert(at Time, fn func(), argFn func(any), arg any) EventRe
 	e.at = at
 	e.seq = s.seq
 	e.fn = fn
-	e.argFn = argFn
-	e.arg = arg
 	s.seq++
 	s.heapPush(e)
 	return EventRef{e: e, gen: e.gen}
+}
+
+// ScheduleRun behaves exactly like len(delays) back-to-back Schedule
+// calls: member i runs fn(arg, i) after delays[i], with the i-th of the
+// sequence numbers those calls would have taken, and negative delays are
+// clamped to zero. The members share one heap node that holds them
+// sorted by (time, seq), so a burst of k events costs one heap insert
+// and one sift per member instead of k inserts and k pops, and the
+// executed (time, seq) stream is unchanged. Members cannot be cancelled.
+// fn is typically a package-level function and arg a pointer from the
+// caller's own pool, so scheduling allocates nothing; delays is copied
+// and may be reused as soon as ScheduleRun returns.
+func (s *Simulator) ScheduleRun(delays []Time, fn func(any, int), arg any) {
+	if fn == nil {
+		panic("sim: nil event function")
+	}
+	if len(delays) == 0 {
+		return
+	}
+	r := s.allocRun(len(delays))
+	r.fn, r.arg, r.base = fn, arg, s.seq
+	s.seq += uint64(len(delays))
+	// Stable insertion sort on at: callers pass nearly sorted delays, and
+	// stopping at the first entry due no later keeps equal times in index
+	// (= seq) order.
+	for i, d := range delays {
+		at := s.now + max(d, 0)
+		j := len(r.entries)
+		r.entries = append(r.entries, runEntry{})
+		for ; j > 0 && r.entries[j-1].at > at; j-- {
+			r.entries[j] = r.entries[j-1]
+		}
+		r.entries[j] = runEntry{at: at, i: int32(i)}
+	}
+	s.waiting += len(delays) - 1
+	e := s.alloc()
+	e.run = r
+	e.at, e.seq = r.entries[0].at, r.base+uint64(r.entries[0].i)
+	s.heapPush(e)
+}
+
+// runMinCap is the smallest member list a run is given, so pooled runs
+// rarely regrow as bursts of different sizes cycle through them.
+const runMinCap = 16
+
+// allocRun pops a recycled run, or makes one, with room for n members.
+func (s *Simulator) allocRun(n int) *run {
+	r := s.runs
+	if r != nil {
+		s.runs, r.free = r.free, nil
+	} else {
+		r = &run{}
+	}
+	if cap(r.entries) < n {
+		r.entries = make([]runEntry, 0, max(n, runMinCap))
+	}
+	return r
+}
+
+func (s *Simulator) recycleRun(r *run) {
+	r.entries = r.entries[:0]
+	r.next = 0
+	r.fn, r.arg = nil, nil
+	r.free, s.runs = s.runs, r
 }
 
 // alloc pops a recycled event or grows the pool by one chunk.
@@ -216,8 +282,7 @@ func (s *Simulator) alloc() *event {
 func (s *Simulator) recycle(e *event) {
 	e.gen++
 	e.fn = nil
-	e.argFn = nil
-	e.arg = nil
+	e.run = nil
 	e.cancelled = false
 	e.index = -1
 	s.free = append(s.free, e)
@@ -313,8 +378,8 @@ func (s *Simulator) drain(until Time) {
 		if e.at > until {
 			return
 		}
-		s.heapPopMin()
 		if e.cancelled {
+			s.heapPopMin()
 			s.dead--
 			s.recycle(e)
 			continue
@@ -328,14 +393,15 @@ func (s *Simulator) drain(until Time) {
 		if s.hook != nil {
 			s.hook(e.at, e.seq)
 		}
-		// Recycle before invoking so the slot is immediately reusable by
-		// whatever the callback schedules; the callback itself was copied
-		// out first.
-		fn, argFn, arg := e.fn, e.argFn, e.arg
-		s.recycle(e)
-		if argFn != nil {
-			argFn(arg)
+		if r := e.run; r != nil {
+			s.fireMember(e, r)
 		} else {
+			// Recycle before invoking so the slot is immediately
+			// reusable by whatever the callback schedules; the callback
+			// itself was copied out first.
+			fn := e.fn
+			s.heapPopMin()
+			s.recycle(e)
 			fn()
 		}
 		if s.guard != nil && s.events%s.guardEvery == 0 {
@@ -347,11 +413,32 @@ func (s *Simulator) drain(until Time) {
 	}
 }
 
-// Pending returns the number of live (not cancelled) queued events.
-func (s *Simulator) Pending() int { return len(s.heap) - s.dead }
+// fireMember runs the head member of run node e, which is at the top of
+// the heap. If members remain, the node is re-keyed on the next one and
+// sifted down in place (its key only grows); the last member returns the
+// node and its run to their pools before the callback runs.
+func (s *Simulator) fireMember(e *event, r *run) {
+	fn, arg, i := r.fn, r.arg, int(r.entries[r.next].i)
+	if r.next++; r.next < len(r.entries) {
+		next := r.entries[r.next]
+		e.at, e.seq = next.at, r.base+uint64(next.i)
+		s.waiting--
+		s.down(0)
+	} else {
+		s.heapPopMin()
+		s.recycle(e)
+		s.recycleRun(r)
+	}
+	fn(arg, i)
+}
 
-// QueueLen returns the raw queue length including cancelled events that
-// are still awaiting lazy collection. Diagnostics only.
+// Pending returns the number of live (not cancelled) queued events. Every
+// member of a ScheduleRun that has not fired yet counts as one event.
+func (s *Simulator) Pending() int { return len(s.heap) - s.dead + s.waiting }
+
+// QueueLen returns the number of heap nodes, including cancelled events
+// still awaiting lazy collection. A ScheduleRun occupies one node however
+// many members it has left. Diagnostics only.
 func (s *Simulator) QueueLen() int { return len(s.heap) }
 
 // --- 4-ary indexed min-heap, ordered by (at, seq) ---

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
@@ -420,18 +421,32 @@ func TestTimerRearmInPlace(t *testing.T) {
 	}
 }
 
-// TestScheduleArg verifies the closure-free scheduling path.
-func TestScheduleArg(t *testing.T) {
+// TestScheduleRun verifies the closure-free run path: members fire in
+// (time, seq) order with their own index, interleaved with plain events,
+// and a run takes one heap node however many members it has.
+func TestScheduleRun(t *testing.T) {
 	s := New(1)
 	var got []int
-	record := func(a any) { got = append(got, a.(int)) }
-	s.ScheduleArg(2*Millisecond, record, 2)
-	s.ScheduleArg(Millisecond, record, 1)
-	ref := s.ScheduleArg(3*Millisecond, record, 3)
-	ref.Cancel()
+	record := func(a any, i int) { got = append(got, a.(int)*10+i) }
+	s.Schedule(2*Millisecond, func() { got = append(got, -1) })
+	s.ScheduleRun([]Time{3 * Millisecond, Millisecond, 2 * Millisecond}, record, 1)
+	if s.QueueLen() != 2 || s.Pending() != 4 {
+		t.Fatalf("QueueLen, Pending = %d, %d; want 2, 4", s.QueueLen(), s.Pending())
+	}
 	s.RunAll()
-	if len(got) != 2 || got[0] != 1 || got[1] != 2 {
-		t.Fatalf("ScheduleArg events = %v, want [1 2]", got)
+	want := []int{11, -1, 12, 10}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("ScheduleRun events = %v, want %v", got, want)
+	}
+	if s.Pending() != 0 || s.QueueLen() != 0 || s.EventsExecuted() != 4 {
+		t.Fatalf("after drain: Pending %d, QueueLen %d, events %d", s.Pending(), s.QueueLen(), s.EventsExecuted())
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		s.ScheduleRun([]Time{Millisecond, 0}, record, 2)
+		s.RunAll()
+	})
+	if allocs != 0 {
+		t.Fatalf("steady-state ScheduleRun allocated %v times per op", allocs)
 	}
 }
 
