@@ -10,9 +10,9 @@ import (
 // ChaosOptions configures a chaos sweep: Runs randomized scenarios are
 // generated from Seed (scenario i uses Seed+i) and executed, each with
 // its own topology, flow mix, optional mobility and background load,
-// and a randomized fault schedule. With Verify set, every scenario runs
-// twice and the two Results must match bit-for-bit — any divergence is
-// a determinism bug in the simulator itself.
+// and a randomized fault schedule. Every scenario runs twice and the
+// two Results must match bit-for-bit — any divergence is a determinism
+// bug in the simulator itself.
 type ChaosOptions struct {
 	// Seed is the base scenario seed.
 	Seed int64
@@ -20,11 +20,8 @@ type ChaosOptions struct {
 	Runs int
 	// Duration is the simulated time per scenario (default 3s).
 	Duration time.Duration
-	// Verify re-runs each scenario and compares full Results (default
-	// off; `muzha chaos` turns it on).
-	Verify bool
 	// Sweep supervises the sweep: worker parallelism, per-run guards,
-	// and the resumable journal. The zero value runs serial and
+	// and the resumable result store. The zero value runs serial and
 	// unguarded.
 	Sweep SweepOptions
 }
@@ -41,9 +38,9 @@ type ChaosRun struct {
 	// (deadline, event budget, livelock) and scenario-generation errors
 	// included. Classify(Err) names the failure class.
 	Err error
-	// NonDeterministic is set when Verify found the second run's Result
-	// differing from the first, or the automatic failure replay diverged
-	// from the first attempt.
+	// NonDeterministic is set when the second run's Result differed
+	// from the first, or the automatic failure replay diverged from the
+	// first attempt.
 	NonDeterministic bool
 	// Coverage lists the Sometimes assertions the run reached (sorted).
 	// Historically the invariant report was only inspected on failure;
@@ -51,8 +48,8 @@ type ChaosRun struct {
 	// coverage-guided loop — see which interesting states a sweep
 	// actually explored. Empty when the run produced no Result.
 	Coverage []string
-	// Resumed is set when the outcome came from the sweep journal
-	// instead of a fresh run.
+	// Resumed is set when the outcome came from the sweep's result
+	// store instead of a fresh run.
 	Resumed bool
 }
 
@@ -272,42 +269,35 @@ var chaosScenario = ChaosScenario
 // inspect Failed or FailureClass on each. The sweep degrades gracefully
 // — a scenario that fails to generate, panics, livelocks or blows its
 // budget is recorded and the remaining seeds still run. The returned
-// error reports only harness-level problems (an unusable journal).
+// error reports only harness-level problems (an unusable store).
 func ChaosSweep(opt ChaosOptions) ([]ChaosRun, error) {
 	if opt.Runs <= 0 {
 		opt.Runs = 10
 	}
-	dur := opt.Duration
-	if dur < time.Second {
-		dur = 3 * time.Second // mirror ChaosScenario's default for stable journal keys
-	}
 
 	runs := make([]ChaosRun, opt.Runs)
-	var units []runUnit
-	var unitIdx []int // units[k] belongs to runs[unitIdx[k]]
+	var cfgs []Config
+	var idx []int // cfgs[k] belongs to runs[idx[k]]
 	for i := 0; i < opt.Runs; i++ {
 		seed := opt.Seed + int64(i)
 		runs[i] = ChaosRun{Seed: seed}
-		cfg, desc, err := chaosScenario(seed, dur)
+		cfg, desc, err := chaosScenario(seed, opt.Duration)
 		if err != nil {
 			// A broken generator seed is one failed run, not a dead sweep.
 			runs[i].Err = err
 			continue
 		}
 		runs[i].Scenario = desc
-		units = append(units, runUnit{
-			Key: fmt.Sprintf("chaos/seed=%d/d=%s/verify=%t", seed, dur, opt.Verify),
-			Cfg: cfg,
-		})
-		unitIdx = append(unitIdx, i)
+		cfgs = append(cfgs, cfg)
+		idx = append(idx, i)
 	}
 
-	outs, err := runPool(units, opt.Sweep, opt.Verify)
+	outs, err := runPool(cfgs, opt.Sweep, true)
 	if err != nil {
 		return runs, err
 	}
 	for k, o := range outs {
-		r := &runs[unitIdx[k]]
+		r := &runs[idx[k]]
 		r.Result = o.Result
 		r.Resumed = o.Resumed
 		if o.Class == ClassNonDeterministic {

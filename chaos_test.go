@@ -129,7 +129,7 @@ func TestChaosSweepSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos sweep in -short mode")
 	}
-	results, err := ChaosSweep(ChaosOptions{Seed: 1, Runs: 5, Duration: 2 * time.Second, Verify: true})
+	results, err := ChaosSweep(ChaosOptions{Seed: 1, Runs: 5, Duration: 2 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}

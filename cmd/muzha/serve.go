@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"muzha/internal/chaoscov"
+	"muzha/internal/harness"
 	"muzha/internal/jobs"
 )
 
@@ -62,7 +63,7 @@ func cmdServe(args []string, _ io.Reader, _ io.Writer) error {
 		Guards:        guards(),
 		ProgressEvery: *progress,
 		Logf:          logger.Printf,
-		CacheLimit: jobs.CacheLimit{
+		CacheLimit: harness.CacheLimit{
 			MaxEntries: *cacheEntries,
 			MaxBytes:   *cacheBytes,
 		},

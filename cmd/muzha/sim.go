@@ -308,8 +308,9 @@ var sweeps = map[string]struct {
 
 // cmdSweep runs one experiment family of the paper as a supervised
 // multi-run sweep and prints its CSV. -parallel sets the worker count
-// (per-run results are identical at any width), -resume journals
-// finished runs to a JSONL file and skips them on restart, and
+// (per-run results are identical at any width), -resume stores each
+// successful run in a JSONL result store keyed by its config hash and
+// skips stored runs on restart, and
 // -deadline / -max-events bound each run so one stuck scenario cannot
 // hang the sweep. Rows already printed stay useful when some runs fail:
 // the failure summary surfaces after them, with its class's exit code.
@@ -343,7 +344,7 @@ func cmdSweep(args []string, _ io.Reader, out io.Writer) error {
 	fs.DurationVar(&a.duration, "duration", a.duration, "simulated time per run")
 	fs.Int64Var(&a.seed, "seed", 1, "base random seed")
 	fs.IntVar(&a.sw.Parallel, "parallel", runtime.GOMAXPROCS(0), "sweep worker count (per-run results are identical at any width)")
-	fs.StringVar(&a.sw.Journal, "resume", "", "JSONL journal path: record finished runs, skip them on restart")
+	fs.StringVar(&a.sw.Journal, "resume", "", "JSONL result store path: store each successful run under its config hash, skip stored runs on restart (failed runs run again)")
 	guards := guardFlags(fs, 0)
 	if _, err := parse(fs, args[1:], 0, 0, ""); err != nil {
 		return err
@@ -445,12 +446,12 @@ func sweepDynamics(out io.Writer, a sweepArgs) error {
 // invariant violation, panic, guard abort or run-to-run divergence.
 func cmdChaos(args []string, _ io.Reader, out io.Writer) error {
 	fs := flag.NewFlagSet("muzha chaos", flag.ContinueOnError)
-	opt := muzha.ChaosOptions{Verify: true}
+	var opt muzha.ChaosOptions
 	fs.IntVar(&opt.Runs, "runs", 10, "number of scenarios")
 	fs.Int64Var(&opt.Seed, "seed", 1, "base scenario seed")
 	fs.DurationVar(&opt.Duration, "duration", 3*time.Second, "simulated time per scenario")
 	fs.IntVar(&opt.Sweep.Parallel, "parallel", runtime.GOMAXPROCS(0), "worker count (per-run results are identical at any width)")
-	fs.StringVar(&opt.Sweep.Journal, "resume", "", "JSONL journal path: record finished runs, skip them on restart")
+	fs.StringVar(&opt.Sweep.Journal, "resume", "", "JSONL result store path: store each successful run under its config hash, skip stored runs on restart (failed runs run again)")
 	guards := guardFlags(fs, 0)
 	if _, err := parse(fs, args, 0, 0, ""); err != nil {
 		return err

@@ -15,7 +15,7 @@
 // corpus distillation.
 //
 // The corpus is a JSONL journal with the same durability contract as
-// the sweep journal: entries append as runs finish, a loop killed
+// the result store: entries append as runs finish, a loop killed
 // mid-write loses at most one line on reload, and a restarted loop
 // resumes from the accumulated coverage instead of rediscovering it.
 package chaoscov

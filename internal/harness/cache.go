@@ -1,4 +1,4 @@
-package jobs
+package harness
 
 import (
 	"container/list"
@@ -6,18 +6,18 @@ import (
 	"fmt"
 	"sync"
 
-	"muzha/internal/harness"
 	"muzha/internal/jsonl"
 )
 
-// Cache is the content-addressed result cache: Config.Hash() -> the
-// canonical Result encoding produced by EncodeResult. It persists as a
-// JSONL journal with the durability contract of package jsonl — append on
-// write, truncated-line-tolerant reload, a daemon killed mid-append
-// loses at most that one entry — and is bounded: when an entry or byte
-// cap is configured, the least-recently-used results are evicted to
-// stay under it, so a long-lived daemon's memory does not grow with
-// every distinct scenario it has ever simulated.
+// Cache is the content-addressed result store: Config.Hash() -> the
+// JSON encoding of that config's Result. It is the one store behind
+// both a sweep's -resume file and the daemon's cache.jsonl. It persists
+// as a JSONL journal with the durability contract of package jsonl —
+// append on write, truncated-line-tolerant reload, a process killed
+// mid-append loses at most that one entry — and is optionally bounded:
+// when an entry or byte cap is configured, the least-recently-used
+// results are evicted to stay under it, so a long-lived daemon's memory
+// does not grow with every distinct scenario it has ever simulated.
 //
 // Eviction is an in-memory policy; the journal stays append-only
 // during operation. Dead weight (evicted, superseded or unparseable
@@ -26,11 +26,11 @@ import (
 //
 // Only successful results are cached. Failures depend on guard budgets
 // and host load (a deadline abort on a slow machine says nothing about
-// the scenario), so they are recorded in the job store but never served
-// to a later identical submission.
+// the scenario), so they are never served to a later identical request:
+// a resumed sweep and a resubmitted daemon job both run them again.
 type Cache struct {
 	mu      sync.Mutex
-	log     *jsonl.Log[harness.Entry]
+	log     *jsonl.Log[cacheLine]
 	limit   CacheLimit
 	byKey   map[string]*list.Element
 	lru     *list.List // front = most recently used
@@ -44,6 +44,14 @@ type CacheLimit struct {
 	MaxEntries int
 	// MaxBytes caps the total size of cached result payloads.
 	MaxBytes int64
+}
+
+// cacheLine is one journal line. Lines written before the store was
+// shared also carry "ok":true, which decoding ignores; their failure
+// lines carry no value and are dropped at the next open.
+type cacheLine struct {
+	Key   string          `json:"key"`
+	Value json.RawMessage `json:"value"`
 }
 
 // cacheItem is one LRU slot.
@@ -75,8 +83,8 @@ func OpenCache(path string, limit CacheLimit) (*Cache, error) {
 		lru:   list.New(),
 	}
 	loaded := 0
-	log, err := jsonl.Open(path, func(e harness.Entry) bool {
-		if e.Key == "" || !e.OK || len(e.Value) == 0 {
+	log, err := jsonl.Open(path, func(e cacheLine) bool {
+		if e.Key == "" || len(e.Value) == 0 {
 			return false
 		}
 		// File order is append order, so each accepted line is the most
@@ -86,7 +94,7 @@ func OpenCache(path string, limit CacheLimit) (*Cache, error) {
 		return true
 	})
 	if err != nil {
-		return nil, fmt.Errorf("jobs: open cache: %w", err)
+		return nil, fmt.Errorf("harness: open cache: %w", err)
 	}
 	c.log = log
 	// Loading counted cap evictions; they describe history, not this
@@ -97,20 +105,20 @@ func OpenCache(path string, limit CacheLimit) (*Cache, error) {
 	// rewrite keeps the live set in LRU order, oldest first, so a future
 	// load reconstructs the same recency.
 	if loaded+log.Skipped() > c.lru.Len() {
-		live := make([]harness.Entry, 0, c.lru.Len())
+		live := make([]cacheLine, 0, c.lru.Len())
 		for el := c.lru.Back(); el != nil; el = el.Prev() {
 			it := el.Value.(*cacheItem)
-			live = append(live, harness.Entry{Key: it.key, OK: true, Value: it.val})
+			live = append(live, cacheLine{Key: it.key, Value: it.val})
 		}
 		if err := log.Rewrite(live); err != nil {
 			log.Close()
-			return nil, fmt.Errorf("jobs: compact cache: %w", err)
+			return nil, fmt.Errorf("harness: compact cache: %w", err)
 		}
 	}
 	return c, nil
 }
 
-// Get returns the cached canonical Result bytes for a config hash and
+// Get returns the cached Result bytes for a config hash and
 // marks the entry as recently used.
 func (c *Cache) Get(hash string) (json.RawMessage, bool) {
 	c.mu.Lock()
@@ -130,7 +138,7 @@ func (c *Cache) Put(hash string, result json.RawMessage) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.putLocked(hash, result)
-	c.log.Append(harness.Entry{Key: hash, OK: true, Value: result})
+	c.log.Append(cacheLine{Key: hash, Value: result})
 }
 
 // putLocked applies the in-memory insert + LRU eviction; shared by Put

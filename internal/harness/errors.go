@@ -1,18 +1,15 @@
 // Package harness supervises batches of simulation runs: a worker pool
-// with per-job panic containment, a typed failure taxonomy, a
-// wall-clock/event-budget/livelock watchdog that the engine checks
-// cooperatively, and a JSONL journal that makes interrupted sweeps
-// resumable.
+// with per-job panic containment and failure replay, a typed failure
+// taxonomy, a wall-clock/event-budget/livelock watchdog that the engine
+// checks cooperatively, and the content-addressed result store that
+// makes interrupted sweeps resumable and backs the daemon's cache.
 //
 // The package is deliberately generic — jobs are plain closures — so it
 // carries no dependency on the simulation model and the root package can
 // route every sweep through it without an import cycle.
 package harness
 
-import (
-	"errors"
-	"fmt"
-)
+import "errors"
 
 // Sentinel errors of the failure taxonomy. Guard aborts, panics and
 // classifier verdicts wrap exactly one of these so callers can triage
@@ -118,13 +115,4 @@ func WorstOf(counts map[Class]int) Class {
 		}
 	}
 	return ClassOK
-}
-
-// resumeError reconstructs a journaled failure so a resumed sweep
-// classifies it exactly like the original run did.
-func resumeError(class Class, msg string) error {
-	if s := Sentinel(class); s != nil {
-		return fmt.Errorf("%w (resumed): %s", s, msg)
-	}
-	return fmt.Errorf("resumed failure: %s", msg)
 }

@@ -63,9 +63,9 @@ func TestExecuteOrderAndParallelism(t *testing.T) {
 	for _, workers := range []int{1, 4, 16} {
 		jobs := make([]Job, 20)
 		for i := range jobs {
-			jobs[i] = Job{Key: fmt.Sprintf("job-%d", i), Fn: func() (any, error) { return i, nil }}
+			jobs[i] = func() (any, error) { return i, nil }
 		}
-		outs := Execute(jobs, Options{Workers: workers})
+		outs := Execute(jobs, workers, nil)
 		for i, o := range outs {
 			if o.Err != nil || o.Value.(int) != i {
 				t.Fatalf("workers=%d: outcome %d holds %v", workers, i, o.Value)
@@ -78,11 +78,11 @@ func TestExecuteOrderAndParallelism(t *testing.T) {
 // and the rest of the batch still completes.
 func TestExecutePanicContainment(t *testing.T) {
 	jobs := []Job{
-		{Key: "good-1", Fn: func() (any, error) { return "ok", nil }},
-		{Key: "bomb", Fn: func() (any, error) { panic("boom") }},
-		{Key: "good-2", Fn: func() (any, error) { return "ok", nil }},
+		func() (any, error) { return "ok", nil },
+		func() (any, error) { panic("boom") },
+		func() (any, error) { return "ok", nil },
 	}
-	outs := Execute(jobs, Options{Workers: 2})
+	outs := Execute(jobs, 2, nil)
 	if !errors.Is(outs[1].Err, ErrPanic) || outs[1].Class != ClassPanic {
 		t.Fatalf("panic outcome %+v", outs[1])
 	}
@@ -104,18 +104,18 @@ func TestReplayClassifiesNonDeterministic(t *testing.T) {
 		return calls[key]
 	}
 	jobs := []Job{
-		{Key: "flaky", Fn: func() (any, error) {
+		func() (any, error) {
 			if count("flaky") == 1 {
 				return nil, fmt.Errorf("first attempt: %w", ErrLivelock)
 			}
 			return "fine", nil
-		}},
-		{Key: "stuck", Fn: func() (any, error) {
+		},
+		func() (any, error) {
 			count("stuck")
 			return nil, fmt.Errorf("always: %w", ErrLivelock)
-		}},
+		},
 	}
-	outs := Execute(jobs, Options{Workers: 1, Replay: true})
+	outs := Execute(jobs, 1, nil)
 	if outs[0].Class != ClassNonDeterministic || !errors.Is(outs[0].Err, ErrNonDeterministic) {
 		t.Fatalf("flaky job classified %q (%v)", outs[0].Class, outs[0].Err)
 	}
@@ -134,11 +134,11 @@ func TestReplayClassifiesNonDeterministic(t *testing.T) {
 // the replay classifier must not relabel them nondeterministic.
 func TestReplaySkipsDeadline(t *testing.T) {
 	calls := 0
-	jobs := []Job{{Key: "slow", Fn: func() (any, error) {
+	jobs := []Job{func() (any, error) {
 		calls++
 		return nil, fmt.Errorf("too slow: %w", ErrDeadline)
-	}}}
-	outs := Execute(jobs, Options{Workers: 1, Replay: true})
+	}}
+	outs := Execute(jobs, 1, nil)
 	if calls != 1 {
 		t.Fatalf("deadline failure replayed %d times", calls)
 	}

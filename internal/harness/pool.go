@@ -1,133 +1,71 @@
 package harness
 
 import (
-	"encoding/json"
 	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
 )
 
-// Job is one unit of sweep work. Fn must be re-runnable: the pool
-// invokes it again to classify a failure as deterministic or divergent.
-type Job struct {
-	// Key uniquely and stably identifies the job across sweep restarts;
-	// it is the journal key.
-	Key string
-	// Fn performs the run. It is called from a worker goroutine and must
-	// not share mutable state with other jobs.
-	Fn func() (any, error)
-}
+// Job is one unit of work. It must be re-runnable: the pool invokes it
+// again to classify a failure as deterministic or divergent. It is
+// called from a worker goroutine and must not share mutable state with
+// other jobs.
+type Job func() (any, error)
 
-// Outcome is one job's terminal state, in job order.
+// Outcome is one job's terminal state.
 type Outcome struct {
-	Key string
-	// Value is Fn's result for jobs that ran; nil for resumed jobs
-	// (decode Raw instead) and failures.
+	// Value is the job's result; nil on failure.
 	Value any
-	// Raw is the journaled result for resumed jobs.
-	Raw json.RawMessage
 	// Err is the classified failure, nil on success.
 	Err error
 	// Class is Classify(Err).
 	Class Class
-	// Resumed is set when the outcome was satisfied from the journal
-	// without running Fn.
-	Resumed bool
 	// Replayed is set when the failure replay ran.
 	Replayed bool
 }
 
-// Options configures Execute.
-type Options struct {
-	// Workers is the concurrent worker count; <= 0 uses GOMAXPROCS.
-	Workers int
-	// Journal, when non-nil, records outcomes as they complete and
-	// satisfies jobs it already holds without re-running them.
-	Journal *Journal
-	// Replay re-runs each failed job once: an identical failure class
-	// keeps its classification, a different outcome reclassifies the job
-	// ErrNonDeterministic. Wall-clock deadline failures are exempt —
-	// they depend on host load, not the model.
-	Replay bool
-}
-
-// Execute runs the jobs on a supervised worker pool and returns one
-// Outcome per job, in job order. The pool never aborts early: a failed,
-// panicking or stuck job is classified and the remaining jobs still
-// run. Each Fn executes single-threaded within its worker, so per-run
-// results are independent of the worker count.
-func Execute(jobs []Job, opt Options) []Outcome {
-	workers := opt.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
+// Execute runs the jobs on a Pool of the given width (<= 0 uses
+// GOMAXPROCS) and returns one Outcome per job, in job order; done, when
+// non-nil, also receives each outcome with its job index as soon as the
+// job finishes, from the worker goroutine. The pool never aborts early:
+// a failed, panicking or stuck job is classified and the remaining jobs
+// still run. Each job executes single-threaded within its worker, so
+// per-run results are independent of the worker count.
+func Execute(jobs []Job, workers int, done func(int, Outcome)) []Outcome {
 	outs := make([]Outcome, len(jobs))
-	if len(jobs) == 0 {
-		return outs
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(jobs) {
-					return
-				}
-				outs[i] = runJob(jobs[i], opt)
+	p := NewPool(min(workers, len(jobs)), len(jobs))
+	for i, job := range jobs {
+		p.TrySubmit(job, func(o Outcome) {
+			outs[i] = o
+			if done != nil {
+				done(i, o)
 			}
-		}()
+		})
 	}
-	wg.Wait()
+	p.Close()
 	return outs
 }
 
-// runJob executes (or resumes) one job with panic containment, failure
-// replay and journaling.
-func runJob(job Job, opt Options) Outcome {
-	out := Outcome{Key: job.Key}
-	if opt.Journal != nil {
-		if e, ok := opt.Journal.Lookup(job.Key); ok && (!e.OK || len(e.Value) > 0) {
-			out.Resumed = true
-			out.Raw = e.Value
-			out.Class = Class(e.Class)
-			if !e.OK {
-				out.Err = resumeError(out.Class, e.Err)
-			}
-			return out
-		}
+// runJob executes one job with panic containment and failure replay:
+// a failed job runs once more, an identical failure class keeps its
+// classification and a different outcome reclassifies the job
+// ErrNonDeterministic. Wall-clock deadline and cancel failures are
+// exempt — they depend on host load or an operator, not the model.
+func runJob(job Job) Outcome {
+	v, err := safeCall(job)
+	if err == nil {
+		return Outcome{Value: v}
 	}
-
-	v, err := safeCall(job.Fn)
-	if err != nil && opt.Replay && Classify(err) != ClassDeadline && Classify(err) != ClassCanceled {
+	out := Outcome{Err: err}
+	if c := Classify(err); c != ClassDeadline && c != ClassCanceled {
 		out.Replayed = true
-		_, err2 := safeCall(job.Fn)
-		if Classify(err2) != Classify(err) {
-			err = fmt.Errorf("%w: first attempt failed (%v) but replay %s",
+		if _, err2 := safeCall(job); Classify(err2) != c {
+			out.Err = fmt.Errorf("%w: first attempt failed (%v) but replay %s",
 				ErrNonDeterministic, err, describeReplay(err2))
 		}
 	}
-	out.Value, out.Err = v, err
-	out.Class = Classify(err)
-	if err != nil {
-		out.Value = nil
-	}
-
-	if opt.Journal != nil {
-		e := Entry{Key: job.Key, OK: err == nil, Class: string(out.Class)}
-		if err != nil {
-			e.Err = err.Error()
-		} else if b, merr := json.Marshal(v); merr == nil {
-			e.Value = b
-		}
-		opt.Journal.Record(e)
-	}
+	out.Class = Classify(out.Err)
 	return out
 }
 
@@ -138,15 +76,15 @@ func describeReplay(err error) string {
 	return fmt.Sprintf("failed differently (%v)", err)
 }
 
-// Pool is the streaming counterpart of Execute for long-running
-// services: jobs arrive one at a time over a bounded backlog, a fixed
-// set of workers runs them with the same panic containment, replay
-// classification and journaling as Execute, and each outcome is handed
-// to its submit-time callback as it completes. The backlog bound is the
-// daemon's admission control — TrySubmit refusing is the signal to push
-// back (HTTP 429) instead of growing memory without limit.
+// Pool is the one worker loop of the program: jobs arrive one at a
+// time over a bounded backlog, a fixed set of workers runs them with
+// panic containment and replay classification (see runJob), and each
+// outcome is handed to its submit-time callback as it completes.
+// Execute drives it for a batch; the daemon submits to it directly. The
+// backlog bound is the daemon's admission control — TrySubmit refusing
+// is the signal to push back (HTTP 429) instead of growing memory
+// without limit.
 type Pool struct {
-	opt     Options
 	items   chan poolItem
 	wg      sync.WaitGroup
 	mu      sync.Mutex
@@ -161,21 +99,21 @@ type poolItem struct {
 
 // NewPool starts workers goroutines (<= 0 uses GOMAXPROCS) consuming a
 // backlog of at most backlog queued jobs.
-func NewPool(workers, backlog int, opt Options) *Pool {
+func NewPool(workers, backlog int) *Pool {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	if backlog < 0 {
 		backlog = 0
 	}
-	p := &Pool{opt: opt, items: make(chan poolItem, backlog)}
+	p := &Pool{items: make(chan poolItem, backlog)}
 	for w := 0; w < workers; w++ {
 		p.wg.Add(1)
 		go func() {
 			defer p.wg.Done()
 			for it := range p.items {
 				p.running.Add(1)
-				out := runJob(it.job, p.opt)
+				out := runJob(it.job)
 				p.running.Add(-1)
 				if it.done != nil {
 					it.done(out)

@@ -3,40 +3,9 @@ package harness
 import (
 	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
-	"strings"
 	"sync"
 	"testing"
 )
-
-// TestScanJSONL: the journal load skips blank lines silently and
-// counts a kill-mid-write residue line as skipped, never fatal.
-func TestScanJSONL(t *testing.T) {
-	input := strings.Join([]string{
-		`{"key":"a","ok":true}`,
-		``, // blank lines are skipped silently
-		`{"key":"b","ok":true}`,
-		`{"trunc`, // kill-mid-write residue: rejected, counted, not fatal
-	}, "\n")
-	path := filepath.Join(t.TempDir(), "sweep.jsonl")
-	if err := os.WriteFile(path, []byte(input), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	j, err := OpenJournal(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer j.Close()
-	if j.Skipped() != 1 {
-		t.Fatalf("skipped = %d, want 1", j.Skipped())
-	}
-	_, okA := j.Lookup("a")
-	_, okB := j.Lookup("b")
-	if j.Len() != 2 || !okA || !okB {
-		t.Fatalf("loaded %d entries (a=%v b=%v), want a and b", j.Len(), okA, okB)
-	}
-}
 
 // collectOutcomes gathers pool callbacks safely across goroutines.
 type collectOutcomes struct {
@@ -48,19 +17,22 @@ func newCollect() *collectOutcomes {
 	return &collectOutcomes{outs: make(map[string]Outcome)}
 }
 
-func (c *collectOutcomes) done(o Outcome) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.outs[o.Key] = o
+// done returns the submit callback that files an outcome under key.
+func (c *collectOutcomes) done(key string) func(Outcome) {
+	return func(o Outcome) {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		c.outs[key] = o
+	}
 }
 
 func TestPoolRunsAllJobs(t *testing.T) {
-	p := NewPool(3, 8, Options{})
+	p := NewPool(3, 8)
 	c := newCollect()
 	for i := 0; i < 8; i++ {
 		i := i
-		job := Job{Key: fmt.Sprintf("job-%d", i), Fn: func() (any, error) { return i * i, nil }}
-		if !p.TrySubmit(job, c.done) {
+		job := func() (any, error) { return i * i, nil }
+		if !p.TrySubmit(job, c.done(fmt.Sprintf("job-%d", i))) {
 			t.Fatalf("submit %d refused with free backlog", i)
 		}
 	}
@@ -79,23 +51,23 @@ func TestPoolRunsAllJobs(t *testing.T) {
 func TestPoolBackpressureAndClose(t *testing.T) {
 	release := make(chan struct{})
 	started := make(chan struct{})
-	p := NewPool(1, 1, Options{})
+	p := NewPool(1, 1)
 	c := newCollect()
 
 	// One job occupies the worker, one fills the single backlog slot.
-	if !p.TrySubmit(Job{Key: "busy", Fn: func() (any, error) {
+	if !p.TrySubmit(func() (any, error) {
 		close(started)
 		<-release
 		return "done", nil
-	}}, c.done) {
+	}, c.done("busy")) {
 		t.Fatal("first submit refused")
 	}
 	<-started
-	if !p.TrySubmit(Job{Key: "queued", Fn: func() (any, error) { return "ok", nil }}, c.done) {
+	if !p.TrySubmit(func() (any, error) { return "ok", nil }, c.done("queued")) {
 		t.Fatal("backlog slot refused")
 	}
 	// The pool is now saturated: this refusal is the daemon's 429 signal.
-	if p.TrySubmit(Job{Key: "over", Fn: func() (any, error) { return nil, nil }}, c.done) {
+	if p.TrySubmit(func() (any, error) { return nil, nil }, c.done("over")) {
 		t.Fatal("saturated pool accepted a job")
 	}
 	if p.Running() != 1 || p.Queued() != 1 {
@@ -106,16 +78,16 @@ func TestPoolBackpressureAndClose(t *testing.T) {
 	if len(c.outs) != 2 {
 		t.Fatalf("outcomes = %d, want 2 (rejected job must never run)", len(c.outs))
 	}
-	if p.TrySubmit(Job{Key: "late", Fn: func() (any, error) { return nil, nil }}, c.done) {
+	if p.TrySubmit(func() (any, error) { return nil, nil }, c.done("late")) {
 		t.Fatal("closed pool accepted a job")
 	}
 }
 
 func TestPoolContainsPanics(t *testing.T) {
-	p := NewPool(1, 4, Options{})
+	p := NewPool(1, 4)
 	c := newCollect()
-	p.TrySubmit(Job{Key: "boom", Fn: func() (any, error) { panic("kaboom") }}, c.done)
-	p.TrySubmit(Job{Key: "after", Fn: func() (any, error) { return 7, nil }}, c.done)
+	p.TrySubmit(func() (any, error) { panic("kaboom") }, c.done("boom"))
+	p.TrySubmit(func() (any, error) { return 7, nil }, c.done("after"))
 	p.Close()
 	boom := c.outs["boom"]
 	if !errors.Is(boom.Err, ErrPanic) || boom.Class != ClassPanic {
@@ -131,12 +103,12 @@ func TestPoolCanceledJobsAreNotReplayed(t *testing.T) {
 	// mid-job), so the nondeterminism replay must leave it alone — like
 	// wall-clock deadline failures.
 	calls := 0
-	p := NewPool(1, 1, Options{Replay: true})
+	p := NewPool(1, 1)
 	c := newCollect()
-	p.TrySubmit(Job{Key: "c", Fn: func() (any, error) {
+	p.TrySubmit(func() (any, error) {
 		calls++
 		return nil, fmt.Errorf("aborted: %w", ErrCanceled)
-	}}, c.done)
+	}, c.done("c"))
 	p.Close()
 	o := c.outs["c"]
 	if calls != 1 {
@@ -144,37 +116,5 @@ func TestPoolCanceledJobsAreNotReplayed(t *testing.T) {
 	}
 	if o.Replayed || o.Class != ClassCanceled {
 		t.Fatalf("outcome = %+v, want unreplayed canceled", o)
-	}
-}
-
-func TestPoolJournalResume(t *testing.T) {
-	dir := t.TempDir()
-	j, err := OpenJournal(dir + "/pool.jsonl")
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := NewPool(2, 2, Options{Journal: j})
-	c := newCollect()
-	p.TrySubmit(Job{Key: "x", Fn: func() (any, error) { return 1, nil }}, c.done)
-	p.Close()
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	j2, err := OpenJournal(dir + "/pool.jsonl")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer j2.Close()
-	p2 := NewPool(2, 2, Options{Journal: j2})
-	c2 := newCollect()
-	p2.TrySubmit(Job{Key: "x", Fn: func() (any, error) {
-		t.Error("journaled job re-ran")
-		return nil, nil
-	}}, c2.done)
-	p2.Close()
-	o := c2.outs["x"]
-	if !o.Resumed || string(o.Raw) != "1" {
-		t.Fatalf("resume outcome = %+v", o)
 	}
 }

@@ -6,11 +6,18 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"muzha/internal/harness"
 )
 
-func openTestCache(t *testing.T, path string, limit CacheLimit) *Cache {
+// The result store is harness.Cache. Its capacity policy — the LRU caps
+// that ServerConfig.CacheLimit sets and the compaction at open — is
+// tested here, with the daemon that bounds it; its line format and
+// torn-tail handling are tested in package harness.
+
+func openTestCache(t *testing.T, path string, limit harness.CacheLimit) *harness.Cache {
 	t.Helper()
-	c, err := OpenCache(path, limit)
+	c, err := harness.OpenCache(path, limit)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -23,7 +30,7 @@ func val(i int) json.RawMessage {
 }
 
 func TestCacheEvictsLRUByEntryCap(t *testing.T) {
-	c := openTestCache(t, filepath.Join(t.TempDir(), "cache.jsonl"), CacheLimit{MaxEntries: 3})
+	c := openTestCache(t, filepath.Join(t.TempDir(), "cache.jsonl"), harness.CacheLimit{MaxEntries: 3})
 	for i := 0; i < 3; i++ {
 		c.Put(fmt.Sprintf("h%d", i), val(i))
 	}
@@ -47,7 +54,7 @@ func TestCacheEvictsLRUByEntryCap(t *testing.T) {
 }
 
 func TestCacheEvictsByByteCap(t *testing.T) {
-	c := openTestCache(t, filepath.Join(t.TempDir(), "cache.jsonl"), CacheLimit{MaxBytes: 24})
+	c := openTestCache(t, filepath.Join(t.TempDir(), "cache.jsonl"), harness.CacheLimit{MaxBytes: 24})
 	c.Put("a", val(1)) // 7 bytes
 	c.Put("b", val(2))
 	c.Put("c", val(3))
@@ -75,7 +82,7 @@ func TestCacheEvictsByByteCap(t *testing.T) {
 
 func TestCacheCompactsDeadWeightOnReopen(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "cache.jsonl")
-	c := openTestCache(t, path, CacheLimit{MaxEntries: 2})
+	c := openTestCache(t, path, harness.CacheLimit{MaxEntries: 2})
 	for i := 0; i < 10; i++ {
 		c.Put(fmt.Sprintf("h%d", i), val(i))
 	}
@@ -87,7 +94,7 @@ func TestCacheCompactsDeadWeightOnReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	r := openTestCache(t, path, CacheLimit{MaxEntries: 2})
+	r := openTestCache(t, path, harness.CacheLimit{MaxEntries: 2})
 	if r.Len() != 2 {
 		t.Fatalf("reopened cache has %d entries, want the 2 survivors", r.Len())
 	}
@@ -110,7 +117,7 @@ func TestCacheCompactsDeadWeightOnReopen(t *testing.T) {
 
 func TestCacheUnboundedKeepsEverything(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "cache.jsonl")
-	c := openTestCache(t, path, CacheLimit{})
+	c := openTestCache(t, path, harness.CacheLimit{})
 	for i := 0; i < 50; i++ {
 		c.Put(fmt.Sprintf("h%d", i), val(i))
 	}
@@ -127,20 +134,20 @@ func TestCacheUnboundedKeepsEverything(t *testing.T) {
 // compacted file, not the one it replaced.
 func TestCachePutAfterCompactionSurvivesReopen(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "cache.jsonl")
-	c := openTestCache(t, path, CacheLimit{})
+	c := openTestCache(t, path, harness.CacheLimit{})
 	c.Put("a", val(1))
 	c.Put("a", val(1)) // superseded line: the next open compacts
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	r := openTestCache(t, path, CacheLimit{})
+	r := openTestCache(t, path, harness.CacheLimit{})
 	r.Put("b", val(2))
 	if err := r.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	r2 := openTestCache(t, path, CacheLimit{})
+	r2 := openTestCache(t, path, harness.CacheLimit{})
 	for _, h := range []string{"a", "b"} {
 		if _, ok := r2.Get(h); !ok {
 			t.Fatalf("entry %s lost across the compacting reopen", h)

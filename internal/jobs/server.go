@@ -44,7 +44,7 @@ type ServerConfig struct {
 	Logf func(format string, args ...any)
 	// CacheLimit bounds the result cache; least-recently-used results
 	// are evicted past the caps. Zero fields are unbounded.
-	CacheLimit CacheLimit
+	CacheLimit harness.CacheLimit
 	// ChaosStats, when non-nil, supplies the chaos block of /v1/stats —
 	// a summary of the chaos-corpus journal (`muzha serve -chaos-corpus`).
 	ChaosStats func() *chaoscov.Info
@@ -59,13 +59,13 @@ type Stats struct {
 	CacheHits    uint64 `json:"cache_hits"`
 	// Cache details the result cache's live set, byte footprint, LRU
 	// eviction count and configured caps.
-	Cache     CacheStats `json:"cache"`
-	Coalesced uint64     `json:"coalesced"`
-	Rejected  uint64     `json:"rejected"`
-	Completed uint64     `json:"completed"`
-	Failed    uint64     `json:"failed"`
-	Requeued  int        `json:"requeued"`
-	Draining  bool       `json:"draining"`
+	Cache     harness.CacheStats `json:"cache"`
+	Coalesced uint64             `json:"coalesced"`
+	Rejected  uint64             `json:"rejected"`
+	Completed uint64             `json:"completed"`
+	Failed    uint64             `json:"failed"`
+	Requeued  int                `json:"requeued"`
+	Draining  bool               `json:"draining"`
 	// Chaos summarizes the chaos corpus when one is configured.
 	Chaos *chaoscov.Info `json:"chaos,omitempty"`
 }
@@ -76,7 +76,7 @@ type Stats struct {
 type Server struct {
 	cfg        ServerConfig
 	store      *Store
-	cache      *Cache
+	cache      *harness.Cache
 	pool       *harness.Pool
 	cancel     chan struct{} // closed when the drain grace expires
 	cancelOnce sync.Once
@@ -122,7 +122,7 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	cache, err := OpenCache(filepath.Join(cfg.DataDir, "cache.jsonl"), cfg.CacheLimit)
+	cache, err := harness.OpenCache(filepath.Join(cfg.DataDir, "cache.jsonl"), cfg.CacheLimit)
 	if err != nil {
 		store.Close()
 		return nil, err
@@ -142,7 +142,7 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	// The pool backlog must never be the binding constraint — admission
 	// is the inFlight counter — so size it for the worst case: a full
 	// queue plus every journal-recovered job.
-	s.pool = harness.NewPool(cfg.Workers, cfg.QueueDepth+cfg.Workers+len(requeued), harness.Options{})
+	s.pool = harness.NewPool(cfg.Workers, cfg.QueueDepth+cfg.Workers+len(requeued))
 
 	s.mu.Lock()
 	for _, id := range requeued {
@@ -172,10 +172,7 @@ func (s *Server) enqueueLocked(j Job) {
 	s.active[j.Hash] = j.ID
 	s.hubs[j.ID] = newHub()
 	id, hash, client := j.ID, j.Hash, j.Client
-	ok := s.pool.TrySubmit(
-		harness.Job{Key: id, Fn: s.runFn(id)},
-		func(o harness.Outcome) { s.complete(id, hash, client, o) },
-	)
+	ok := s.pool.TrySubmit(s.runFn(id), func(o harness.Outcome) { s.complete(id, hash, client, o) })
 	if !ok {
 		// Cannot happen while admission holds inFlight below the backlog
 		// size; fail the job loudly rather than strand it in queued.
@@ -205,7 +202,7 @@ func (s *Server) decClientLocked(client string) {
 // runFn builds the worker closure for one job: decode the stored
 // canonical config, attach guards, cancellation and the progress hook,
 // run, and encode the result canonically.
-func (s *Server) runFn(id string) func() (any, error) {
+func (s *Server) runFn(id string) harness.Job {
 	return func() (any, error) {
 		j, ok := s.store.Transition(id, func(j *Job) { j.State = StateRunning })
 		if !ok {

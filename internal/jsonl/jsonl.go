@@ -1,7 +1,8 @@
 // Package jsonl is the append-only JSON-lines log behind every
-// persistent journal of the program: the sweep journal
-// (harness.Journal), the daemon's job store and result cache
-// (jobs.Store, jobs.Cache) and the chaos corpus (chaoscov.Corpus).
+// persistent journal of the program: the daemon's job store
+// (jobs.Store), the result store that backs both the daemon's cache and
+// sweep -resume files (harness.Cache), and the chaos corpus
+// (chaoscov.Corpus).
 //
 // One value is one line, json.Marshal(v) plus '\n', written with a
 // single Write: no buffering and no fsync. A process killed mid-write

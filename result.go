@@ -171,7 +171,7 @@ func (r *Result) Sanitize() {
 // SometimesCoverage returns the sorted names of the Sometimes
 // assertions this run reached — the per-run coverage signal the
 // coverage-guided chaos loop steers by. It works on any Result,
-// including ones decoded from a sweep journal or the daemon cache.
+// including ones decoded from the result store.
 func (r *Result) SometimesCoverage() []string {
 	var out []string
 	for _, iv := range r.Invariants {

@@ -10,17 +10,19 @@ import (
 )
 
 // SweepOptions supervises a multi-run sweep: worker parallelism, a
-// resumable journal, and per-run guards. The zero value reproduces the
-// historical serial, unguarded, unjournaled behaviour.
+// resumable result store, and per-run guards. The zero value reproduces
+// the historical serial, unguarded, unstored behaviour.
 type SweepOptions struct {
 	// Parallel is the worker count; <= 1 runs serially, and any value
 	// yields bit-for-bit identical per-run Results — each run is
 	// single-threaded, workers only change wall-clock time.
 	Parallel int
-	// Journal is a JSONL file recording each run as it completes. A
-	// restarted sweep pointed at the same journal skips the recorded
-	// runs and merges their results, so a killed sweep loses only its
-	// in-flight work. Empty disables journaling.
+	// Journal is the JSONL result store (harness.Cache) recording each
+	// successful run as it completes, keyed by Config.Hash. A restarted
+	// sweep pointed at the same file skips every run whose config it
+	// holds and merges the stored results, so a killed sweep loses only
+	// its in-flight work; failed runs are not stored and run again. The
+	// daemon's cache.jsonl has the same format. Empty disables the store.
 	Journal string
 	// Guards bounds every run in the sweep (applied only to runs whose
 	// Config carries no guards of its own).
@@ -28,7 +30,7 @@ type SweepOptions struct {
 	// Workers is the execution width inside each run (Config.Workers)
 	// whose Config does not set its own. Independent of Parallel, which
 	// schedules whole runs. Like Parallel it changes only wall-clock
-	// time, so journal keys ignore it.
+	// time, so Config.Hash, the store key, ignores it.
 	Workers int
 }
 
@@ -39,7 +41,7 @@ type SweepOptions struct {
 // ErrNonDeterministic or ErrInvariant matches the most severe class
 // present (and the first failure's own chain).
 type SweepError struct {
-	// Total and Failed count runs; Resumed counts journal hits.
+	// Total and Failed count runs; Resumed counts store hits.
 	Total, Failed, Resumed int
 	// Counts maps failure-class name (see Classify) to run count.
 	Counts map[string]int
@@ -84,14 +86,7 @@ func (e *SweepError) Unwrap() []error {
 	return out
 }
 
-// runUnit is one Run(cfg) job inside a sweep. Key must be stable across
-// restarts — it identifies the run in the journal.
-type runUnit struct {
-	Key string
-	Cfg Config
-}
-
-// runOutcome is one unit's terminal state.
+// runOutcome is one run's terminal state.
 type runOutcome struct {
 	Result  *Result
 	Err     error
@@ -99,32 +94,54 @@ type runOutcome struct {
 	Resumed bool
 }
 
-// runPool executes the units on the supervised worker pool: panics are
-// contained, failures replayed once to classify deterministic versus
-// divergent, outcomes journaled and resumed. With verify set, each run
-// executes twice and any Result divergence is ErrNonDeterministic. The
-// returned error is only for harness plumbing (an unopenable or
-// unwritable journal); per-run failures live in the outcomes.
-func runPool(units []runUnit, opt SweepOptions, verify bool) ([]runOutcome, error) {
-	var journal *harness.Journal
+// runPool executes the configs on the supervised worker pool: panics
+// are contained and failures replayed once to classify deterministic
+// versus divergent. With opt.Journal set, the result store at that path
+// (harness.Cache, keyed by Config.Hash) satisfies every config it
+// already holds, and each run that succeeds is stored the moment it
+// finishes, so a killed sweep loses only its in-flight runs. Failures
+// are never stored: a resumed sweep runs them again. With verify set,
+// each run executes twice and any Result divergence is
+// ErrNonDeterministic. The returned error is only for harness plumbing
+// (an unopenable or unwritable store); per-run failures live in the
+// outcomes.
+func runPool(cfgs []Config, opt SweepOptions, verify bool) ([]runOutcome, error) {
+	var store *harness.Cache
 	if opt.Journal != "" {
-		j, err := harness.OpenJournal(opt.Journal)
+		c, err := harness.OpenCache(opt.Journal, harness.CacheLimit{})
 		if err != nil {
 			return nil, err
 		}
-		journal = j
+		store = c
 	}
 
-	jobs := make([]harness.Job, len(units))
-	for i, u := range units {
-		cfg := u.Cfg
+	outs := make([]runOutcome, len(cfgs))
+	hashes := make([]string, len(cfgs))
+	var jobs []harness.Job
+	var idx []int // jobs[k] runs cfgs[idx[k]]
+	for i, cfg := range cfgs {
+		if store != nil {
+			h, err := cfg.Hash()
+			if err != nil {
+				store.Close()
+				return nil, err
+			}
+			hashes[i] = h
+			// A stored value that does not decode runs again; its fresh
+			// result replaces it.
+			var r Result
+			if raw, ok := store.Get(h); ok && json.Unmarshal(raw, &r) == nil {
+				outs[i] = runOutcome{Result: &r, Resumed: true}
+				continue
+			}
+		}
 		if !cfg.Guards.enabled() {
 			cfg.Guards = opt.Guards
 		}
 		if cfg.Workers == 0 {
 			cfg.Workers = opt.Workers
 		}
-		jobs[i] = harness.Job{Key: u.Key, Fn: func() (any, error) {
+		jobs = append(jobs, func() (any, error) {
 			res, err := Run(cfg)
 			if err != nil {
 				return nil, err
@@ -140,44 +157,37 @@ func runPool(units []runUnit, opt SweepOptions, verify bool) ([]runOutcome, erro
 				}
 			}
 			return res, nil
-		}}
+		})
+		idx = append(idx, i)
 	}
 
-	workers := opt.Parallel
-	if workers <= 0 {
-		workers = 1
-	}
-	outs := harness.Execute(jobs, harness.Options{
-		Workers: workers,
-		Journal: journal,
-		Replay:  true,
-	})
-
-	result := make([]runOutcome, len(outs))
-	for i, o := range outs {
-		ro := runOutcome{Err: o.Err, Class: string(o.Class), Resumed: o.Resumed}
-		switch {
-		case o.Err != nil:
-		case o.Resumed:
-			var r Result
-			if derr := json.Unmarshal(o.Raw, &r); derr != nil {
-				ro.Err = fmt.Errorf("muzha: journal entry %q: %w", o.Key, derr)
-				ro.Class = ClassError
-			} else {
-				ro.Result = &r
+	var put func(int, harness.Outcome)
+	if store != nil {
+		put = func(k int, o harness.Outcome) {
+			if o.Err != nil {
+				return
 			}
-		default:
+			// A Result that cannot be encoded is not stored; the next
+			// resume runs it again.
+			if b, err := json.Marshal(o.Value); err == nil {
+				store.Put(hashes[idx[k]], b)
+			}
+		}
+	}
+	for k, o := range harness.Execute(jobs, max(opt.Parallel, 1), put) {
+		ro := runOutcome{Err: o.Err, Class: string(o.Class)}
+		if o.Err == nil {
 			ro.Result = o.Value.(*Result)
 		}
-		result[i] = ro
+		outs[idx[k]] = ro
 	}
 
-	if journal != nil {
-		if cerr := journal.Close(); cerr != nil {
-			return result, cerr
+	if store != nil {
+		if err := store.Close(); err != nil {
+			return outs, err
 		}
 	}
-	return result, nil
+	return outs, nil
 }
 
 // sweepError folds the outcomes' failures into a *SweepError, or nil

@@ -105,27 +105,27 @@ func TestSweepClassifiesLivelockBudgetAndPanic(t *testing.T) {
 	}
 	healthy := guardConfig(t)
 	jobs := []harness.Job{
-		{Key: "livelock", Fn: guardedSim(1, harness.WatchdogConfig{LivelockWindow: 5_000}, func(s *sim.Simulator) {
+		guardedSim(1, harness.WatchdogConfig{LivelockWindow: 5_000}, func(s *sim.Simulator) {
 			var spin func()
 			spin = func() { s.Schedule(0, spin) }
 			s.Schedule(0, spin)
-		})},
-		{Key: "budget", Fn: guardedSim(2, harness.WatchdogConfig{MaxEvents: 10_000}, func(s *sim.Simulator) {
+		}),
+		guardedSim(2, harness.WatchdogConfig{MaxEvents: 10_000}, func(s *sim.Simulator) {
 			var tick func()
 			tick = func() { s.Schedule(sim.Nanosecond, tick) }
 			s.Schedule(0, tick)
-		})},
-		{Key: "panic", Fn: func() (any, error) { panic("corrupted event heap") }},
-		{Key: "healthy", Fn: func() (any, error) { return Run(healthy) }},
+		}),
+		func() (any, error) { panic("corrupted event heap") },
+		func() (any, error) { return Run(healthy) },
 	}
 
-	outs := harness.Execute(jobs, harness.Options{Workers: 4, Replay: true})
+	outs := harness.Execute(jobs, 4, nil)
 	ros := make([]runOutcome, len(outs))
 	for i, want := range []harness.Class{
 		harness.ClassLivelock, harness.ClassEventBudget, harness.ClassPanic, harness.ClassOK,
 	} {
 		if outs[i].Class != want {
-			t.Errorf("job %q classified %q, want %q (err=%v)", outs[i].Key, outs[i].Class, want, outs[i].Err)
+			t.Errorf("job %d classified %q, want %q (err=%v)", i, outs[i].Class, want, outs[i].Err)
 		}
 		ros[i] = runOutcome{Err: outs[i].Err, Class: string(outs[i].Class)}
 	}
@@ -247,7 +247,7 @@ func TestChaosSweepJournalResume(t *testing.T) {
 }
 
 // TestSweepJournalIgnoresWidth: SweepOptions.Workers is only an
-// execution width, so a sweep journaled at one width is resumed in full
+// execution width, so a sweep stored at one width is resumed in full
 // by the same sweep at another, with identical rows. Chaos seeds 205
 // and 331 generate multi-domain scenarios, where a width-dependent
 // engine would show.
@@ -281,6 +281,88 @@ func TestSweepJournalIgnoresWidth(t *testing.T) {
 		if !reflect.DeepEqual(again.Result, first.Result) {
 			t.Errorf("seed %d: the row resumed at workers=0 differs from the one run at workers=2", seed)
 		}
+	}
+}
+
+// storeLen opens the sweep result store at path and counts its entries.
+func storeLen(t *testing.T, path string) int {
+	t.Helper()
+	c, err := harness.OpenCache(path, harness.CacheLimit{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	return c.Len()
+}
+
+// TestSweepResumeRerunsFailures: a failure depends on guard budgets and
+// host load, not on the scenario, so it is never stored. A sweep whose
+// every run failed under a 1 ns deadline leaves nothing to resume, and
+// the same sweep unguarded on the same file runs in full and succeeds.
+func TestSweepResumeRerunsFailures(t *testing.T) {
+	store := filepath.Join(t.TempDir(), "sweep.jsonl")
+	pairs := [][2]Variant{{Muzha, Muzha}, {NewReno, Muzha}}
+	sweep := func(guards RunGuards) ([]FairnessRow, error) {
+		return CoexistenceFairness([]int{4}, pairs, 2*time.Second, []int64{1},
+			SweepOptions{Journal: store, Guards: guards})
+	}
+
+	_, err := sweep(RunGuards{WallClock: time.Nanosecond})
+	var se *SweepError
+	if !errors.As(err, &se) || se.Failed != len(pairs) || se.Counts[ClassDeadline] != len(pairs) {
+		t.Fatalf("guarded sweep: %v, want all %d runs failed by deadline", err, len(pairs))
+	}
+	if n := storeLen(t, store); n != 0 {
+		t.Fatalf("failed sweep stored %d results, want 0", n)
+	}
+
+	rows, err := sweep(RunGuards{})
+	if err != nil {
+		t.Fatalf("unguarded sweep on the same file: %v", err)
+	}
+	for _, r := range rows {
+		if r.Seeds != 1 {
+			t.Fatalf("row %v+%v averaged %d seeds, want 1", r.Variants[0], r.Variants[1], r.Seeds)
+		}
+	}
+	if n := storeLen(t, store); n != len(pairs) {
+		t.Fatalf("store holds %d results after the rerun, want %d", n, len(pairs))
+	}
+}
+
+// TestSweepResumeKeysOnConfig: the store key is Config.Hash, so every
+// field that shapes a run is in it. A modern grid stored at window 32
+// resumes none of its runs for the same grid at window 4, whose rows
+// equal a fresh window-4 sweep's.
+func TestSweepResumeKeysOnConfig(t *testing.T) {
+	store := filepath.Join(t.TempDir(), "sweep.jsonl")
+	grid := func(window int, path string) []ModernGridRow {
+		t.Helper()
+		rows, err := ModernComparisonGrid(ModernGridConfig{
+			Variants: []Variant{NewReno},
+			Worlds:   []string{ModernWorldChain},
+			Duration: 3 * time.Second,
+			Seeds:    []int64{1},
+			Window:   window,
+			Sweep:    SweepOptions{Journal: path},
+		})
+		if err != nil {
+			t.Fatalf("window %d: %v", window, err)
+		}
+		return rows
+	}
+
+	wide := grid(32, store)
+	narrow := grid(4, store)
+	fresh := grid(4, "")
+	if reflect.DeepEqual(wide, fresh) {
+		t.Fatal("windows 32 and 4 give the same rows; the test would prove nothing")
+	}
+	if !reflect.DeepEqual(narrow, fresh) {
+		t.Fatalf("window-4 rows on the window-32 store differ from a fresh sweep:\nstored: %+v\nfresh:  %+v", narrow, fresh)
+	}
+	if n := storeLen(t, store); n != 2*len(wide) {
+		t.Fatalf("store holds %d results, want %d: window-4 runs were resumed from window-32 ones", n, 2*len(wide))
 	}
 }
 
